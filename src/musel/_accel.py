@@ -1,38 +1,8 @@
-"""Kernel acceleration dispatch.
+"""Name of the numeric backend, for benchmark and environment reports.
 
-Hot numeric loops are compiled with numba when available.  Setting the
-environment variable ``MUSEL_DISABLE_NUMBA=1`` (checked once, at import)
-forces the pure-numpy fallback; the same fallback is used automatically
-when numba is not importable.  Both paths execute identical source.
+Every kernel is plain numpy, so the backend is always ``"numpy"``.
 """
-
-import os
-
-_flag = os.environ.get("MUSEL_DISABLE_NUMBA", "").strip().lower()
-NUMBA_DISABLED = _flag in {"1", "true", "yes", "on"}
-
-try:
-    import numba as _numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via env flag instead
-    _numba = None
-    HAVE_NUMBA = False
-
-USE_NUMBA = HAVE_NUMBA and not NUMBA_DISABLED
-
-
-def maybe_njit(func):
-    """Compile ``func`` with numba when acceleration is active, else return it unchanged.
-
-    cache=False on purpose: disk-cached object code measurably loses
-    optimization on reload (2-4x slower kernels here), and the one-off
-    per-process compile cost is small next to the solve workloads.
-    """
-    if USE_NUMBA:
-        return _numba.njit(cache=False, nogil=True)(func)
-    return func
 
 
 def backend_name():
-    return "numba" if USE_NUMBA else "numpy"
+    return "numpy"

@@ -1,13 +1,26 @@
-"""Dense bounded-variable linear programming.
+"""Dense bounded-variable linear programming by the dual simplex method.
 
-Two-phase revised simplex with an explicit basis inverse, Dantzig pricing,
-and a Bland's-rule fallback that engages after a run of degenerate steps.
-Ties in the ratio test break toward the lowest variable index, so repeated
-solves of the same problem are bitwise reproducible.
+Every row gets a slack, ``[0, inf)`` for ``<=`` rows and ``[0, 0]`` for
+``==`` rows, so the constraints read ``A x + s = b``.  The solve starts from
+the all-slack basis with each nonbasic variable at the bound its cost sign
+favours.  When the costs are >= 0 and the lower bounds finite, as in every
+selector and sensitivity LP, that basis is dual feasible and the dual
+simplex starts at once.  Otherwise a dual phase 1 first solves the boxed
+auxiliary problem (b = 0, one-sided bounds cut to unit length; Koberstein
+2005, ch. 4) from the same loop.
 
-The iteration loop lives in module-level kernel functions that are compiled
-with numba unless ``MUSEL_DISABLE_NUMBA=1`` (see :mod:`musel._accel`); the
-pure-numpy fallback runs the identical source interpreted.
+A basis is the set S of basic structural columns plus the equal-sized set R
+of rows whose slacks are nonbasic; only the k x k block ``A[R, S]`` is
+inverted, so nothing m x m is ever built.  Primal values, reduced costs and
+the dual steepest-edge weights are recomputed from that block at every
+pivot, so no update drifts, and a pivot costs O(k^3 + (m + n) k).  A singular
+block is repaired by swapping a dependent column for its row's slack.
+
+Leaving rows are priced by dual steepest edge among the most infeasible
+ones, entering columns by a bound-flipping ratio test with Harris's
+tolerance.  Ties break toward the lowest variable index and a dual
+Bland rule takes over after a run of degenerate pivots, so repeated solves
+of the same problem are bitwise reproducible.
 """
 
 import os
@@ -16,25 +29,13 @@ from enum import Enum
 
 import numpy as np
 
-from ._accel import maybe_njit
-
 DEFAULT_FEAS_TOL = 1e-9
 DEFAULT_OPT_TOL = 1e-9
 
 _PIV_TOL = 1e-9
 _DEGEN_EPS = 1e-11
-_REFRESH_EVERY = 150
-
-# kernel exit codes
-_KERN_OPTIMAL = 0
-_KERN_UNBOUNDED = 1
-_KERN_ITER_LIMIT = 2
-
-# variable states
-_AT_LOWER = 0
-_AT_UPPER = 1
-_BASIC = 2
-_FREE = 3
+_MAX_COND = 1e12
+_PRICE_TOP = 32
 
 
 class LpStatus(Enum):
@@ -42,6 +43,10 @@ class LpStatus(Enum):
     INFEASIBLE = "infeasible"
     UNBOUNDED = "unbounded"
     ITERATION_LIMIT = "iteration_limit"
+
+
+# internal: the basis prices some unbounded direction at a profit
+_DUAL_INFEASIBLE = "dual_infeasible"
 
 
 @dataclass(frozen=True)
@@ -122,186 +127,186 @@ class LpSolution:
         return self.status is LpStatus.OPTIMAL
 
 
-def _kernel_refactor(AT, b, art_sign, cc, lo, up, basis, vstat, xB, Binv):
-    """Rebuild the basis inverse from scratch and recompute basic values."""
-    n_struct = AT.shape[0]
-    m = AT.shape[1]
-    n_total = cc.shape[0]
-    B = np.zeros((m, m))
-    for i in range(m):
-        j = basis[i]
-        if j < n_struct:
-            B[:, i] = AT[j]
-        elif j < n_struct + m:
-            B[j - n_struct, i] = 1.0
-        else:
-            B[j - n_struct - m, i] = art_sign[j - n_struct - m]
-    Binv[:, :] = np.linalg.inv(B)
+class _DualSimplex:
+    """Basis state of ``A x + s = b`` and the dual simplex loop over it.
 
-    xfull = np.zeros(n_total)
-    for j in range(n_total):
-        st = vstat[j]
-        if st == _AT_LOWER:
-            xfull[j] = lo[j]
-        elif st == _AT_UPPER:
-            xfull[j] = up[j]
-    v = b - np.dot(xfull[:n_struct], AT)
-    v -= xfull[n_struct:n_struct + m]
-    v -= art_sign * xfull[n_struct + m:]
-    xB[:] = np.dot(Binv, v)
-
-
-def _kernel_simplex(AT, b, art_sign, cc, lo, up, basis, vstat, xB, Binv,
-                    opt_tol, max_iters, ray_buf):
-    """Run simplex pivots until optimal/unbounded/iteration limit.
-
-    Mutates basis, vstat, xB and Binv in place.  Returns (exit_code, iters).
-    Before reporting optimal or unbounded the basis inverse is refreshed and
-    the conclusion re-verified, so returned states are freshly factorized.
+    Variables 0..n-1 are structural, n+i is the slack of row i.  The state
+    (which variables are basic, which nonbasic ones sit at their upper
+    bound) carries over from one :meth:`run` to the next, so phase 1 and
+    phase 2 share it; costs, right-hand side and bounds are per run.
     """
-    n_struct = AT.shape[0]
-    m = AT.shape[1]
-    n_total = cc.shape[0]
 
-    can_enter = np.empty(n_total, dtype=np.bool_)
-    for j in range(n_total):
-        can_enter[j] = up[j] > lo[j]
+    def __init__(self, A, feas_tol, opt_tol, max_iters):
+        self.A = A
+        self.m, self.n = A.shape
+        self.feas_tol = feas_tol
+        self.opt_tol = opt_tol
+        self.max_iters = max_iters
+        self.a_max = np.abs(A).max(initial=0.0)
+        self.is_basic = np.zeros(self.n + self.m, dtype=bool)
+        self.is_basic[self.n:] = True
+        self.at_upper = np.zeros(self.n + self.m, dtype=bool)
+        self.iters = 0
+        self.repairs = 0
+        self.x = None
+        self.farkas = None
+        self.violation = 0.0
 
-    iters = 0
-    since_refactor = 0
-    degen_run = 0
-    bland = False
-    verified = False
-    bland_trigger = 50 + 2 * m
+    def _factor(self):
+        """(S, R, inverse of A[R, S]), swapping dependent columns for slacks
+        until the block is well conditioned."""
+        n = self.n
+        while True:
+            S = self.is_basic[:n].nonzero()[0]
+            R = (~self.is_basic[n:]).nonzero()[0]
+            K = self.A[R[:, None], S]
+            if not S.size:
+                return S, R, K
+            try:
+                Kinv = np.linalg.inv(K)
+                # cheap estimate of the 1-norm condition number of K
+                if np.abs(Kinv).max() * self.a_max * S.size < _MAX_COND:
+                    return S, R, Kinv
+            except np.linalg.LinAlgError:
+                pass
+            # the singular vectors of the smallest singular value name a
+            # column and a row whose deletion leaves a nonsingular minor
+            U, _, Vt = np.linalg.svd(K)
+            self.is_basic[S[np.argmax(np.abs(Vt[-1]))]] = False
+            self.is_basic[n + R[np.argmax(np.abs(U[:, -1]))]] = True
+            self.repairs += 1
 
-    while True:
-        if since_refactor >= _REFRESH_EVERY:
-            _kernel_refactor(AT, b, art_sign, cc, lo, up, basis, vstat, xB, Binv)
-            since_refactor = 0
+    def run(self, c, b, lo, up):
+        """Pivot until OPTIMAL, INFEASIBLE, ITERATION_LIMIT or, when the
+        basis prices an unbounded direction at a profit, _DUAL_INFEASIBLE."""
+        A, n = self.A, self.n
+        otol, htol, ftol = self.opt_tol, 0.5 * self.opt_tol, self.feas_tol
+        inf_lo, inf_up = np.isinf(lo), np.isinf(up)
+        free = (inf_lo & inf_up).nonzero()[0]
+        fixed = (up == lo).nonzero()[0]
+        lo0 = np.where(inf_lo, 0.0, lo)
+        up0 = np.where(inf_up, 0.0, up)
+        # one-sided variables sit at their finite bound, free ones at 0
+        self.at_upper |= inf_lo
+        self.at_upper &= ~inf_up
+        bland_after = 50 + 2 * self.m
+        degenerate_run = 0
+        while True:
+            S, R, Kinv = self._factor()
+            y = c[S] @ Kinv
+            d = c.copy()
+            d[:n] -= y @ A[R]
+            d[n + R] -= y
+            d[S] = 0.0
 
-        # duals and reduced costs
-        cB = cc[basis]
-        y = np.dot(cB, Binv)
-        d = np.empty(n_total)
-        d[:n_struct] = cc[:n_struct] - np.dot(AT, y)
-        d[n_struct:n_struct + m] = cc[n_struct:n_struct + m] - y
-        d[n_struct + m:] = cc[n_struct + m:] - art_sign * y
+            # a nonbasic variable sits at the bound its reduced cost favours;
+            # a wrong sign with no bound there needs the auxiliary problem
+            d_neg = d < -otol
+            d_pos = d > otol
+            if np.any((d_neg & inf_up) | (d_pos & inf_lo)):
+                return _DUAL_INFEASIBLE
+            self.at_upper |= d_neg
+            self.at_upper &= ~d_pos
 
-        viol = np.where(vstat == _AT_LOWER, -d,
-                        np.where(vstat == _AT_UPPER, d,
-                                 np.where(vstat == _FREE, np.abs(d), -np.inf)))
-        viol = np.where(can_enter, viol, -np.inf)
+            x = np.where(self.at_upper, up0, lo0)
+            x[self.is_basic] = 0.0
+            v = b - x[n:]
+            nz = x[:n].nonzero()[0]
+            if nz.size:
+                v -= A[:, nz] @ x[nz]
+            AS = A[:, S]
+            if S.size:
+                x[S] = Kinv @ v[R]
+                v -= AS @ x[S]
+            basic_rows = self.is_basic[n:]
+            x[n:][basic_rows] = v[basic_rows]
+            self.x = x
 
-        if bland:
-            q = -1
-            for j in range(n_total):
-                if viol[j] > opt_tol:
-                    q = j
-                    break
-        else:
-            q = int(np.argmax(viol))
-            if viol[q] <= opt_tol:
-                q = -1
+            # nonbasic variables sit on a bound, so only basic ones violate
+            viol = np.maximum(lo - x, x - up)
+            cand = (viol > ftol).nonzero()[0]
+            if not cand.size:
+                return LpStatus.OPTIMAL
+            if self.iters >= self.max_iters:
+                return LpStatus.ITERATION_LIMIT
 
-        if q < 0:
-            if verified or since_refactor == 0:
-                return _KERN_OPTIMAL, iters
-            _kernel_refactor(AT, b, art_sign, cc, lo, up, basis, vstat, xB, Binv)
-            since_refactor = 0
-            verified = True
-            continue
-
-        if vstat[q] == _AT_LOWER:
-            direction = 1.0
-        elif vstat[q] == _AT_UPPER:
-            direction = -1.0
-        else:
-            direction = 1.0 if d[q] < 0.0 else -1.0
-
-        if q < n_struct:
-            w = np.dot(Binv, AT[q])
-        elif q < n_struct + m:
-            w = Binv[:, q - n_struct].copy()
-        else:
-            w = art_sign[q - n_struct - m] * Binv[:, q - n_struct - m]
-
-        wd = direction * w
-        lob = lo[basis]
-        upb = up[basis]
-        dec = wd > _PIV_TOL
-        inc = wd < -_PIV_TOL
-        t_arr = np.where(dec, (xB - lob) / wd,
-                         np.where(inc, (xB - upb) / wd, np.inf))
-        t_arr = np.maximum(t_arr, 0.0)
-        t_rows = np.min(t_arr) if m > 0 else np.inf
-        t_self = up[q] - lo[q]
-
-        if t_rows == np.inf and t_self == np.inf:
-            if verified or since_refactor == 0:
-                ray_buf[:] = 0.0
-                ray_buf[q] = direction
-                for i in range(m):
-                    ray_buf[basis[i]] = -direction * w[i]
-                return _KERN_UNBOUNDED, iters
-            _kernel_refactor(AT, b, art_sign, cc, lo, up, basis, vstat, xB, Binv)
-            since_refactor = 0
-            verified = True
-            continue
-        verified = False
-
-        if t_self <= t_rows:
-            # entering variable travels to its opposite bound; basis unchanged
-            t = t_self
-            xB -= t * wd
-            vstat[q] = _AT_UPPER if vstat[q] == _AT_LOWER else _AT_LOWER
-        else:
-            t = t_rows
-            cands = np.nonzero(t_arr == t_rows)[0]
-            r = int(cands[np.argmin(basis[cands])])
-            leave = basis[r]
-            xB -= t * wd
-            vstat[leave] = _AT_LOWER if wd[r] > 0.0 else _AT_UPPER
-            if vstat[q] == _AT_LOWER:
-                start = lo[q]
-            elif vstat[q] == _AT_UPPER:
-                start = up[q]
+            bland = degenerate_run > bland_after
+            if not bland and cand.size > _PRICE_TOP:
+                # price only the most infeasible rows: weights cost k^2 each
+                top = np.argsort(-viol[cand], kind="stable")[:_PRICE_TOP]
+                cand = np.sort(cand[top])
+            # rows of B^-1 for the candidates, restricted to R (a basic
+            # slack's own row adds a unit entry); squared norms are the
+            # dual steepest-edge weights
+            slack = cand >= n
+            P = np.empty((cand.size, S.size))
+            P[~slack] = Kinv[np.searchsorted(S, cand[~slack])]
+            P[slack] = -(AS[cand[slack] - n] @ Kinv)
+            if bland:
+                pick = 0
             else:
-                start = 0.0
-            basis[r] = q
-            vstat[q] = _BASIC
-            xB[r] = start + direction * t
-            piv = w[r]
-            Binv[r, :] *= 1.0 / piv
-            f = np.copy(w)
-            f[r] = 0.0
-            Binv -= f.reshape(m, 1) * Binv[r:r + 1, :]
-            since_refactor += 1
+                weight = np.einsum("ij,ij->i", P, P) + slack
+                pick = int(np.argmax(viol[cand] ** 2 / weight))
+            r = int(cand[pick])
+            sigma = 1.0 if x[r] < lo[r] else -1.0
+            rho = np.zeros(self.m)
+            rho[R] = P[pick]
+            if r >= n:
+                rho[r - n] = 1.0
+            rows = rho.nonzero()[0]
+            a = np.empty(n + self.m)
+            a[:n] = (sigma * rho[rows]) @ A[rows]
+            a[n:] = sigma * rho
+            a[S] = 0.0
+            a[r] = 0.0
+            a[fixed] = 0.0
 
-        iters += 1
-        if t <= _DEGEN_EPS:
-            degen_run += 1
-            if degen_run > bland_trigger:
-                bland = True
-        else:
-            degen_run = 0
-            bland = False
-        if iters >= max_iters:
-            return _KERN_ITER_LIMIT, iters
+            # x_r moves to its violated bound; a nonbasic variable can take
+            # its place when it can move off its bound in the matching way
+            toward = np.where(self.at_upper, a, -a)
+            if free.size:
+                toward[free] = np.abs(a[free])
+            J = (toward > _PIV_TOL).nonzero()[0]
+            if not J.size:
+                # no bound of the nonbasic variables lets x_r reach its
+                # bound: sigma * rho is a Farkas certificate
+                self.farkas = sigma * rho
+                self.violation = float(viol[r])
+                return LpStatus.INFEASIBLE
+            abs_a = np.abs(a[J])
+            slack_d = -d[J] * np.sign(a[J])
+            ratio = slack_d / abs_a
+            if bland:
+                pos = int(np.argmax(ratio <= ratio.min()))
+            else:
+                rest = np.arange(J.size)
+                span = up[J] - lo[J]
+                if np.isfinite(span).any():
+                    # bound flipping: the step may pass the breakpoints of
+                    # boxed variables (they change bound at the next
+                    # placement) while x_r stays beyond its bound
+                    order = np.lexsort((J, ratio))
+                    reach = np.cumsum(abs_a[order] * span[order])
+                    rest = order[min(int(np.searchsorted(reach, viol[r])), order.size - 1):]
+                # Harris: the largest pivot among steps within the relaxed bound
+                bound = np.min((slack_d[rest] + htol) / abs_a[rest])
+                within = np.sort(rest[ratio[rest] <= bound])
+                pos = int(within[np.argmax(abs_a[within])])
+            q = int(J[pos])
+
+            self.is_basic[q] = True
+            self.is_basic[r] = False
+            self.at_upper[r] = sigma < 0
+            self.iters += 1
+            degenerate_run = degenerate_run + 1 if ratio[pos] <= _DEGEN_EPS else 0
 
 
-_kernel_refactor = maybe_njit(_kernel_refactor)
-_kernel_simplex = maybe_njit(_kernel_simplex)
-
-
-def _nonbasic_values(lo, up, vstat):
-    vals = np.where(vstat == _AT_LOWER, lo, np.where(vstat == _AT_UPPER, up, 0.0))
-    return np.where(np.isfinite(vals), vals, 0.0)
-
-
-def _extract_x(lo, up, vstat, basis, xB, n_total):
-    x = _nonbasic_values(lo, up, vstat)
-    x[basis] = xB
-    return x
+def _aux_bounds(lo, up):
+    """Bounds of the auxiliary problem: boxed variables fixed at 0, one-sided
+    ones on the unit segment in their feasible direction, free ones on
+    [-1, 1].  Any basis is dual feasible for it."""
+    return (np.where(np.isfinite(lo), 0.0, -1.0),
+            np.where(np.isfinite(up), 0.0, 1.0))
 
 
 def _dump_lp(lp, path):
@@ -316,36 +321,16 @@ def _dump_lp(lp, path):
         fh.write("up " + " ".join(f"{v:.17g}" for v in lp.upper) + "\n")
 
 
-def _solve_box_only(lp):
-    """No constraints: minimize over the box alone."""
-    n = lp.n_vars
-    x = np.zeros(n)
-    for j in range(n):
-        cj, l, u = lp.c[j], lp.lower[j], lp.upper[j]
-        if cj > 0:
-            if not np.isfinite(l):
-                return LpSolution(LpStatus.UNBOUNDED, x, -np.inf, 0)
-            x[j] = l
-        elif cj < 0:
-            if not np.isfinite(u):
-                return LpSolution(LpStatus.UNBOUNDED, x, -np.inf, 0)
-            x[j] = u
-        else:
-            if np.isfinite(l) and np.isfinite(u):
-                x[j] = l if abs(l) <= abs(u) else u
-            elif np.isfinite(l):
-                x[j] = l
-            elif np.isfinite(u):
-                x[j] = u
-    return LpSolution(LpStatus.OPTIMAL, x, float(lp.c @ x), 0)
-
-
 def solve_lp(lp, feas_tol=DEFAULT_FEAS_TOL, opt_tol=DEFAULT_OPT_TOL,
              max_iters=None):
     """Solve a :class:`LinearProgram`.
 
     Deterministic: identical input yields a bitwise-identical solution.
     ``max_iters`` defaults to ``50 * (n_vars + n_constraints)``.
+    INFEASIBLE carries a Farkas vector ``farkas_y`` over the rows (``<=``
+    rows first) and, in ``diagnostics["phase1_infeasibility"]``, the bound
+    violation of the row that proved it; UNBOUNDED carries a recession
+    direction ``ray`` with ``c @ ray < 0``.
     """
     if not isinstance(lp, LinearProgram):
         raise TypeError("solve_lp expects a LinearProgram")
@@ -353,128 +338,44 @@ def solve_lp(lp, feas_tol=DEFAULT_FEAS_TOL, opt_tol=DEFAULT_OPT_TOL,
     if debug_path:
         _dump_lp(lp, debug_path)
 
-    m1 = lp.A_ub.shape[0]
-    m2 = lp.A_eq.shape[0]
-    m = m1 + m2
-    if m == 0:
-        return _solve_box_only(lp)
     n = lp.n_vars
+    m1 = lp.A_ub.shape[0]
+    m = m1 + lp.A_eq.shape[0]
     if max_iters is None:
         max_iters = 50 * (n + m)
-
-    # standard form: every row gets a slack ([0,inf) for <=, [0,0] for ==),
-    # plus one artificial column per row for the phase-1 crash basis.
     A = np.vstack([lp.A_ub, lp.A_eq])
     b = np.concatenate([lp.b_ub, lp.b_eq])
-    AT = np.ascontiguousarray(A.T)
-    n_total = n + 2 * m
+    c = np.concatenate([lp.c, np.zeros(m)])
+    lo = np.concatenate([lp.lower, np.zeros(m)])
+    up = np.concatenate([lp.upper, np.full(m1, np.inf), np.zeros(m - m1)])
 
-    lo = np.full(n_total, 0.0)
-    up = np.full(n_total, np.inf)
-    lo[:n] = lp.lower
-    up[:n] = lp.upper
-    up[n + m1:n + m] = 0.0          # equality slacks pinned at zero
-
-    vstat = np.empty(n_total, dtype=np.int64)
-    for j in range(n):
-        lj, uj = lo[j], up[j]
-        if np.isfinite(lj) and np.isfinite(uj):
-            vstat[j] = _AT_LOWER if abs(lj) <= abs(uj) else _AT_UPPER
-        elif np.isfinite(lj):
-            vstat[j] = _AT_LOWER
-        elif np.isfinite(uj):
-            vstat[j] = _AT_UPPER
-        else:
-            vstat[j] = _FREE
-    vstat[n:] = _AT_LOWER
-
-    x0 = _nonbasic_values(lo, up, vstat)
-    resid = b - A @ x0[:n]
-
-    basis = np.empty(m, dtype=np.int64)
-    xB = np.empty(m)
-    art_sign = np.ones(m)
-    binv_diag = np.ones(m)
-    any_artificial = False
-    for i in range(m):
-        is_ineq = i < m1
-        if is_ineq and resid[i] >= 0.0:
-            basis[i] = n + i            # slack absorbs the residual
-            xB[i] = resid[i]
-            vstat[n + i] = _BASIC
-        else:
-            s = 1.0 if resid[i] >= 0.0 else -1.0
-            art_sign[i] = s
-            binv_diag[i] = s
-            basis[i] = n + m + i
-            xB[i] = abs(resid[i])
-            vstat[n + m + i] = _BASIC
-            any_artificial = True
-    Binv = np.diag(binv_diag)
-    ray_buf = np.zeros(n_total)
-
-    total_iters = 0
-    b_scale = 1.0 + np.max(np.abs(b)) if m else 1.0
-
+    eng = _DualSimplex(A, feas_tol, opt_tol, max_iters)
+    ray = None
     with np.errstate(all="ignore"):
-        if any_artificial:
-            c1 = np.zeros(n_total)
-            c1[n + m:] = 1.0
-            code, it = _kernel_simplex(AT, b, art_sign, c1, lo, up, basis, vstat,
-                                       xB, Binv, opt_tol, max_iters, ray_buf)
-            total_iters += it
-            if code == _KERN_ITER_LIMIT:
-                x = _extract_x(lo, up, vstat, basis, xB, n_total)[:n]
-                return LpSolution(LpStatus.ITERATION_LIMIT, x, float(lp.c @ x),
-                                  total_iters)
-            infeas = float(np.sum(np.where(basis >= n + m, xB, 0.0)))
-            if infeas > feas_tol * b_scale * 10.0:
-                y1 = c1[basis] @ Binv
-                x = _extract_x(lo, up, vstat, basis, xB, n_total)[:n]
-                return LpSolution(LpStatus.INFEASIBLE, x, np.nan, total_iters,
-                                  farkas_y=y1,
-                                  diagnostics={"phase1_infeasibility": infeas})
-            if total_iters >= max_iters:
-                x = _extract_x(lo, up, vstat, basis, xB, n_total)[:n]
-                return LpSolution(LpStatus.ITERATION_LIMIT, x, float(lp.c @ x),
-                                  total_iters)
-
-        up[n + m:] = 0.0                # artificials pinned for phase 2
-
-        c2 = np.zeros(n_total)
-        c2[:n] = lp.c
-        for attempt in range(4):
-            code, it = _kernel_simplex(AT, b, art_sign, c2, lo, up, basis, vstat,
-                                       xB, Binv, opt_tol, max_iters - total_iters,
-                                       ray_buf)
-            total_iters += it
-            if code != _KERN_OPTIMAL:
+        status = eng.run(c, b, lo, up)
+        while status is _DUAL_INFEASIBLE:
+            status = eng.run(c, np.zeros(m), *_aux_bounds(lo, up))
+            if status is not LpStatus.OPTIMAL:
                 break
-            x = _extract_x(lo, up, vstat, basis, xB, n_total)[:n]
-            if _feasible(lp, x, feas_tol * b_scale):
-                return LpSolution(LpStatus.OPTIMAL, x, float(lp.c @ x),
-                                  total_iters)
-            # numerical drift: refresh the factorization and resume
-            _kernel_refactor(AT, b, art_sign, c2, lo, up, basis, vstat, xB, Binv)
-            if total_iters >= max_iters:
-                code = _KERN_ITER_LIMIT
-                break
+            ray = eng.x[:n].copy()
+            start = eng.iters
+            status = eng.run(c, b, lo, up)
+            if status is _DUAL_INFEASIBLE and eng.iters == start:
+                # the auxiliary optimum c @ ray is negative, so the LP is
+                # unbounded if it is feasible at all: solve with zero cost
+                status = eng.run(np.zeros(n + m), b, lo, up)
+                if status is LpStatus.OPTIMAL:
+                    status = LpStatus.UNBOUNDED
 
-    x = _extract_x(lo, up, vstat, basis, xB, n_total)[:n]
-    if code == _KERN_UNBOUNDED:
-        return LpSolution(LpStatus.UNBOUNDED, x, -np.inf, total_iters,
-                          ray=ray_buf[:n].copy())
-    return LpSolution(LpStatus.ITERATION_LIMIT, x, float(lp.c @ x), total_iters)
-
-
-def _feasible(lp, x, tol):
-    if np.any(x < lp.lower - tol) or np.any(x > lp.upper + tol):
-        return False
-    if lp.A_ub.shape[0] and np.max(lp.A_ub @ x - lp.b_ub) > tol:
-        return False
-    if lp.A_eq.shape[0] and np.max(np.abs(lp.A_eq @ x - lp.b_eq)) > tol:
-        return False
-    return True
+    x = eng.x[:n].copy()
+    if status is LpStatus.OPTIMAL:
+        return LpSolution(status, x, float(lp.c @ x), eng.iters)
+    if status is LpStatus.INFEASIBLE:
+        return LpSolution(status, x, np.nan, eng.iters, farkas_y=eng.farkas,
+                          diagnostics={"phase1_infeasibility": eng.violation})
+    if status is LpStatus.UNBOUNDED:
+        return LpSolution(status, x, -np.inf, eng.iters, ray=ray)
+    return LpSolution(status, x, float(lp.c @ x), eng.iters)
 
 
 def check_solution(lp, sol, feas_tol=DEFAULT_FEAS_TOL):

@@ -5,7 +5,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from musel.lp import (LinearProgram, LpStatus, check_solution, solve_lp)
+from musel.lp import (LinearProgram, LpStatus, _DualSimplex, check_solution,
+                      solve_lp)
 
 
 def vertex_enum_oracle(lp, tol=1e-9):
@@ -57,6 +58,26 @@ def vertex_enum_oracle(lp, tol=1e-9):
     return "optimal", best
 
 
+def assert_farkas(lp, y, tol=1e-9):
+    """y proves the program empty: y >= 0 on the <= rows, and y'b lies
+    below the minimum of y'A x over the variable box."""
+    m1 = lp.A_ub.shape[0]
+    assert np.all(y[:m1] >= -tol)
+    g = y @ np.vstack([lp.A_ub, lp.A_eq])
+    pos, neg = g > tol, g < -tol
+    box_min = g[pos] @ lp.lower[pos] + g[neg] @ lp.upper[neg]
+    assert y @ np.concatenate([lp.b_ub, lp.b_eq]) < box_min - tol
+
+
+def assert_ray(lp, ray, tol=1e-9):
+    """ray is a recession direction of the program along which c falls."""
+    assert lp.c @ ray < -tol
+    assert np.all(lp.A_ub @ ray <= tol)
+    assert np.all(np.abs(lp.A_eq @ ray) <= tol)
+    assert np.all(ray[np.isfinite(lp.lower)] >= -tol)
+    assert np.all(ray[np.isfinite(lp.upper)] <= tol)
+
+
 def test_single_variable_lower_bound():
     lp = LinearProgram(c=[1.0], A_ub=[[-1.0]], b_ub=[-1.0], lower=[0.0])
     sol = solve_lp(lp)
@@ -73,6 +94,7 @@ def test_infeasible_with_certificate():
     assert sol.farkas_y is not None
     assert np.any(sol.farkas_y != 0.0)
     assert sol.diagnostics["phase1_infeasibility"] > 0
+    assert_farkas(lp, sol.farkas_y)
 
 
 def test_two_variable_polygon_matches_vertex_oracle():
@@ -93,6 +115,16 @@ def test_unbounded_exposes_ray():
     sol = solve_lp(lp)
     assert sol.status is LpStatus.UNBOUNDED
     assert sol.ray is not None and sol.ray[0] > 0
+    assert_ray(lp, sol.ray)
+
+
+def test_unbounded_free_variable_ray():
+    # x0 free, x1 >= 0: x0 - x1 <= 1 leaves x0 -> -inf open
+    lp = LinearProgram(c=[1.0, 0.5], A_ub=[[1.0, -1.0], [0.0, 1.0]],
+                       b_ub=[1.0, 4.0], lower=[-np.inf, 0.0])
+    sol = solve_lp(lp)
+    assert sol.status is LpStatus.UNBOUNDED
+    assert_ray(lp, sol.ray)
 
 
 def test_equality_with_free_variable_split():
@@ -148,6 +180,7 @@ def test_random_small_lps_match_vertex_enumeration(seed):
     sol = solve_lp(lp)
     if status == "infeasible":
         assert sol.status is LpStatus.INFEASIBLE
+        assert_farkas(lp, sol.farkas_y)
     else:
         assert sol.status is LpStatus.OPTIMAL
         assert sol.objective_value == pytest.approx(best, abs=1e-7)
@@ -203,3 +236,41 @@ def test_degenerate_lp_terminates():
     assert sol.status in (LpStatus.OPTIMAL, LpStatus.INFEASIBLE)
     if sol.status is LpStatus.OPTIMAL:
         assert check_solution(lp, sol) <= 1e-9
+
+
+def _rank_deficient_lp():
+    # rows 0 and 1 repeat, and so do columns 1 and 2
+    A = np.array([[1.0, 2.0, 2.0, -1.0],
+                  [1.0, 2.0, 2.0, -1.0],
+                  [3.0, -1.0, -1.0, 1.0],
+                  [-1.0, 0.5, 0.5, 2.0]])
+    return LinearProgram(c=[-1.0, -1.0, -1.0, 0.5], A_ub=A,
+                         b_ub=[4.0, 4.0, 3.0, 2.0],
+                         lower=np.zeros(4), upper=np.full(4, 3.0))
+
+
+def test_rank_deficient_lp_matches_vertex_oracle():
+    lp = _rank_deficient_lp()
+    status, best = vertex_enum_oracle(lp)
+    sol = solve_lp(lp)
+    assert status == "optimal"
+    assert sol.status is LpStatus.OPTIMAL
+    assert sol.objective_value == pytest.approx(best, abs=1e-9)
+    assert check_solution(lp, sol) <= 1e-9
+
+
+def test_singular_basis_block_is_repaired():
+    # start from a basis whose structural block holds both copies of the
+    # repeated column: the block is singular and must be swapped for slacks
+    lp = _rank_deficient_lp()
+    _, best = vertex_enum_oracle(lp)
+    n, m = 4, 4
+    eng = _DualSimplex(lp.A_ub, 1e-9, 1e-9, 1000)
+    eng.is_basic[[1, 2]] = True
+    eng.is_basic[[n + 0, n + 2]] = False
+    c = np.concatenate([lp.c, np.zeros(m)])
+    lo = np.concatenate([lp.lower, np.zeros(m)])
+    up = np.concatenate([lp.upper, np.full(m, np.inf)])
+    assert eng.run(c, lp.b_ub, lo, up) is LpStatus.OPTIMAL
+    assert eng.repairs >= 1
+    assert lp.c @ eng.x[:n] == pytest.approx(best, abs=1e-9)
