@@ -8,7 +8,6 @@ and a Monte Carlo benchmark harness.
 """
 
 from .core import (
-    ProblemInstance,
     ErrorMatrices,
     gram,
     normalize_design,
@@ -65,8 +64,8 @@ from .simulate import SimConfig, RunMetrics, TableRow, run_experiment
 __version__ = "0.1.0"
 
 __all__ = [
-    "ProblemInstance", "ErrorMatrices", "gram", "normalize_design",
-    "coherence", "re_constant_bruteforce", "error_matrices",
+    "ErrorMatrices", "gram", "normalize_design", "coherence",
+    "re_constant_bruteforce", "error_matrices",
     "LinearProgram", "LpSolution", "LpStatus", "solve_lp",
     "SelectorConfig", "Estimate", "build_cmu_lp", "build_cmu_lp_direct",
     "solve_compensated_mu", "solve_mu_selector", "solve_dantzig",

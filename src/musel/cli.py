@@ -12,19 +12,19 @@ Exit codes: 0 ok; 1 malformed CSV; 2 infeasible; 3 iteration limit;
 
 import json
 import sys
+from dataclasses import replace
 
 import click
-import numpy as np
 
 from . import io as mio
-from .estimators import (SelectorConfig, feasibility_check,
-                         solve_compensated_mu, solve_dantzig,
+from .estimators import (SelectorConfig, solve_compensated_mu, solve_dantzig,
                          solve_missing_data_cmu, solve_mu_selector)
 from .lp import LpStatus
-from .missing import MaskedDesign, estimate_pi, rescale, sigma_hat
-from .sensitivity import (BudgetExceededError, empirical_gram,
-                          kappa_inf_exact, kappa_lower_bound, kappa_one,
-                          kappa_q_from_inf, kappa_star)
+# unused here, but perfbench/probes.py wraps these names on this module
+from .missing import estimate_pi, rescale, sigma_hat  # noqa: F401
+from .sensitivity import (KIND_LOWER_BOUND, BudgetExceededError,
+                          empirical_gram, kappa_inf_exact, kappa_lower_bound,
+                          kappa_one, kappa_q_from_inf, kappa_star)
 from .simulate import (PRESETS, SimConfig, config_from_preset, rows_to_csv,
                        rows_to_markdown, run_experiment)
 from .thresholds import NoiseParams, thresholds_for
@@ -92,21 +92,6 @@ def estimate(design, response, mode, mu_, tau, pi, est_pi, domain, dhat,
                 "missing mode needs exactly one of --pi or --estimate-pi")
         cfg = SelectorConfig(mu=mu_, tau=tau, domain=domain)
         est = solve_missing_data_cmu(Z, y, pi=pi, config=cfg, path=mpath)
-        masked = MaskedDesign(Z_tilde=Z)
-        pi_used = pi if pi is not None else estimate_pi(masked)
-        comp = sigma_hat(masked, pi_used).sigma_hat_sq
-        if mpath == "rescale":
-            chk_cfg = SelectorConfig(mu=mu_, tau=tau, domain=domain,
-                                     compensation=comp)
-            residual, _ = feasibility_check(est.theta, rescale(masked, pi_used),
-                                            y, chk_cfg)
-        else:
-            n = Z.shape[0]
-            G = Z.T @ Z / n
-            G[np.diag_indices_from(G)] -= comp
-            c = (1.0 - pi_used) * (Z.T @ y) / n
-            l1 = float(np.sum(np.abs(est.theta)))
-            residual = float(np.max(np.abs(c - G @ est.theta))) - (mu_ * l1 + tau)
     elif mode == "cmu":
         if dhat is None:
             raise click.UsageError(
@@ -114,22 +99,18 @@ def estimate(design, response, mode, mu_, tau, pi, est_pi, domain, dhat,
         comp = _load(dhat, header, mio.read_vector)
         cfg = SelectorConfig(mu=mu_, tau=tau, domain=domain, compensation=comp)
         est = solve_compensated_mu(Z, y, cfg)
-        residual, _ = feasibility_check(est.theta, Z, y, cfg)
     elif mode == "mu":
-        cfg = SelectorConfig(mu=mu_, tau=tau, domain=domain)
-        est = solve_mu_selector(Z, y, cfg)
-        residual, _ = feasibility_check(est.theta, Z, y, cfg)
+        est = solve_mu_selector(Z, y, SelectorConfig(mu=mu_, tau=tau,
+                                                     domain=domain))
     else:
         est = solve_dantzig(Z, y, tau, domain=domain)
-        cfg = SelectorConfig(mu=0.0, tau=tau, domain=domain)
-        residual, _ = feasibility_check(est.theta, Z, y, cfg)
 
     payload = {
         "theta": [float(v) for v in est.theta],
         "l1": est.l1_norm,
         "support": [int(j) for j in est.support],
         "status": est.status.value,
-        "feasibility_residual": residual,
+        "feasibility_residual": est.residual,
         "iterations": est.iterations,
     }
     _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
@@ -190,6 +171,14 @@ def simulate(config_path, preset, seed, out, raw, md, fresh_design, workers):
         click.echo(rows_to_markdown(rows), nl=False)
 
 
+def _from_inf(base, s, q):
+    """The l_q lower bound (2s)^(-1/q) * kappa_inf that a q = inf result
+    implies; no certificate attains it."""
+    return replace(base, value=kappa_q_from_inf(base.value, s, q), q=q,
+                   kind=KIND_LOWER_BOUND, certificate=None,
+                   certificate_J=None)
+
+
 @cli.command()
 @click.option("--gram", type=click.Path(exists=True), default=None)
 @click.option("--s", "s_", type=int, required=True)
@@ -222,26 +211,13 @@ def sensitivity(gram, s_, q_, empirical, design, dhat, lower, budget, header,
         if q_.startswith("star:"):
             k = int(q_.split(":", 1)[1])
             res = kappa_star(psi, s_, k, budget_cap=budget)
-        elif q_ == "inf":
+        elif q_ == "1" and not lower:
+            res = kappa_one(psi, s_, budget_cap=budget)
+        elif q_ in ("1", "2", "inf"):
             res = (kappa_lower_bound(psi, s_) if lower
                    else kappa_inf_exact(psi, s_, budget_cap=budget))
-        elif q_ == "1":
-            if lower:
-                base = kappa_lower_bound(psi, s_)
-                res = base
-                res.value = kappa_q_from_inf(base.value, s_, 1.0)
-                res.q = 1.0
-            else:
-                res = kappa_one(psi, s_, budget_cap=budget)
-        elif q_ == "2":
-            base = (kappa_lower_bound(psi, s_) if lower
-                    else kappa_inf_exact(psi, s_, budget_cap=budget))
-            res = base
-            res.value = kappa_q_from_inf(base.value, s_, 2.0)
-            res.q = 2.0
-            res.kind = "lower_bound"
-            res.certificate = None
-            res.certificate_J = None
+            if q_ != "inf":
+                res = _from_inf(res, s_, float(q_))
         else:
             raise click.UsageError(f"bad --q {q_!r}: use 1, 2, inf or star:k")
     except BudgetExceededError as e:

@@ -56,60 +56,6 @@ def check_gram(psi, sym_rtol=1e-12, name="psi"):
 
 
 @dataclass(frozen=True)
-class TruthRecord:
-    """Ground truth attached to a simulated problem, for diagnostics only."""
-
-    X: np.ndarray
-    Xi: np.ndarray
-    xi: np.ndarray
-    theta_star: np.ndarray
-
-
-@dataclass(frozen=True)
-class ProblemInstance:
-    """Observed data (Z, y), the optimization domain, and optional truth.
-
-    domain is ``"nonneg"`` (coefficients constrained to the nonnegative
-    orthant) or ``"free"``.  When truth is present the reconstruction
-    y = X theta* + xi must hold to 1e-10 relative.
-    """
-
-    Z: np.ndarray
-    y: np.ndarray
-    domain: str = "nonneg"
-    truth: TruthRecord = None
-
-    def __post_init__(self):
-        Z = as_matrix(self.Z, "Z")
-        y = as_vector(self.y, "y")
-        if Z.shape[0] != y.shape[0]:
-            raise ValueError(f"Z has {Z.shape[0]} rows but y has {y.shape[0]}")
-        if self.domain not in ("nonneg", "free"):
-            raise ValueError(f"domain must be 'nonneg' or 'free', got {self.domain!r}")
-        object.__setattr__(self, "Z", Z)
-        object.__setattr__(self, "y", y)
-        t = self.truth
-        if t is not None:
-            n, p = Z.shape
-            if t.X.shape != (n, p) or t.Xi.shape != (n, p):
-                raise ValueError("truth: X/Xi dimensions inconsistent with Z")
-            if t.xi.shape != (n,) or t.theta_star.shape != (p,):
-                raise ValueError("truth: xi/theta* dimensions inconsistent")
-            resid = np.linalg.norm(y - (t.X @ t.theta_star + t.xi))
-            if resid > 1e-10 * max(1.0, np.linalg.norm(y)):
-                raise ValueError("truth: y != X theta* + xi "
-                                 f"(residual {resid:.3e})")
-
-    @property
-    def n(self):
-        return self.Z.shape[0]
-
-    @property
-    def p(self):
-        return self.Z.shape[1]
-
-
-@dataclass(frozen=True)
 class ErrorMatrices:
     """Diagnostic cross-products between design, design noise and response noise.
 
@@ -131,11 +77,15 @@ class ErrorMatrices:
             raise ValueError("M5 must be diagonal")
 
 
-def gram(X):
-    """Gram matrix X'X/n of a design with n >= 1 rows."""
+def gram(X, diag=None):
+    """Gram matrix X'X/n of a design with n >= 1 rows, minus diag(diag)
+    when a length-p diagonal is given."""
     X = as_matrix(X, "X")
     n = X.shape[0]
-    return X.T @ X / n
+    G = X.T @ X / n
+    if diag is not None:
+        G[np.diag_indices_from(G)] -= diag
+    return G
 
 
 def normalize_design(X, tol=1e-12):

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import as_matrix, as_vector
+from .core import as_matrix, as_vector, gram
 from .lp import LinearProgram, LpStatus, solve_lp
 from .missing import MaskedDesign, check_no_dead_columns, estimate_pi, rescale, sigma_hat
 
@@ -64,9 +64,10 @@ class Estimate:
     """A selector solution with diagnostics.
 
     support holds the indices with |theta_j| above the nonzero threshold;
-    pair_u is the auxiliary witness vector when the pair formulation was
-    used (see lift_to_pair); fp_* report the fixed-point loop used for the
-    free domain (None for the single-LP nonnegative path).
+    residual is |c - G theta|_inf - (mu*|theta|_1 + tau) for the (G, c) the
+    selector solved over (<= feas_tol when theta is feasible); fp_* report
+    the fixed-point loop used for the free domain (None for the single-LP
+    nonnegative path).
     """
 
     theta: np.ndarray
@@ -74,7 +75,7 @@ class Estimate:
     support: np.ndarray
     status: LpStatus
     iterations: int
-    pair_u: np.ndarray = None
+    residual: float = None
     fp_rounds: int = None
     fp_converged: bool = None
 
@@ -91,14 +92,12 @@ def selector_gram(Z, y, compensation=None):
     n, p = Z.shape
     if y.shape[0] != n:
         raise ValueError(f"Z has {n} rows but y has {y.shape[0]}")
-    G = Z.T @ Z / n
+    d = None
     if compensation is not None:
         d = as_vector(compensation, "compensation")
         if d.shape[0] != p:
             raise ValueError(f"compensation length {d.shape[0]} != p={p}")
-        G[np.diag_indices_from(G)] -= d
-    c = Z.T @ y / n
-    return G, c
+    return gram(Z, d), Z.T @ y / n
 
 
 def build_cmu_lp(Z, y, config):
@@ -263,10 +262,18 @@ def _solve_free(G, c, config):
                           fp_converged=False)
 
 
+def _residual(G, c, theta, mu, tau):
+    """|c - G theta|_inf - (mu*|theta|_1 + tau): <= 0 exactly on the
+    selector feasible set of (G, c)."""
+    l1 = float(np.sum(np.abs(theta)))
+    return float(np.max(np.abs(c - G @ theta))) - (mu * l1 + tau)
+
+
 def _solve_from_gram(G, c, config):
-    if config.domain == "nonneg":
-        return _solve_nonneg(G, c, config)
-    return _solve_free(G, c, config)
+    solve = _solve_nonneg if config.domain == "nonneg" else _solve_free
+    est = solve(G, c, config)
+    est.residual = _residual(G, c, est.theta, config.mu, config.tau)
+    return est
 
 
 def solve_compensated_mu(Z, y, config):
@@ -327,10 +334,9 @@ def solve_missing_data_cmu(Z_tilde, y, pi=None, config=None, path="rescale"):
         if pi_arr.size != 1:
             raise ValueError("path='direct' uses the pooled form; pass scalar pi")
         pi_s = float(pi_arr[0])
-        n = Z_tilde.shape[0]
-        G = Z_tilde.T @ Z_tilde / n
-        G[np.diag_indices_from(G)] -= dhat.sigma_hat_sq
-        c = (1.0 - pi_s) * (Z_tilde.T @ y) / n
+        G = gram(Z_tilde, dhat.sigma_hat_sq)
+        # (1 - pi) scales Z~'y, not y: the rounding order fixes the bytes of c
+        c = (1.0 - pi_s) * (Z_tilde.T @ y) / Z_tilde.shape[0]
         return _solve_from_gram(G, c, config)
     raise ValueError(f"path must be 'rescale' or 'direct', got {path!r}")
 
@@ -345,8 +351,7 @@ def feasibility_check(theta, Z, y, config):
     G, c = selector_gram(Z, y, config.compensation)
     if theta.shape[0] != G.shape[0]:
         raise ValueError(f"theta length {theta.shape[0]} != p={G.shape[0]}")
-    l1 = float(np.sum(np.abs(theta)))
-    residual = float(np.max(np.abs(c - G @ theta))) - (config.mu * l1 + config.tau)
+    residual = _residual(G, c, theta, config.mu, config.tau)
     domain_ok = True
     if config.domain == "nonneg":
         domain_ok = bool(np.min(theta, initial=0.0) >= -config.feas_tol)

@@ -18,7 +18,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .core import check_gram
+from .core import check_gram, gram
 from .lp import LinearProgram, LpStatus, solve_lp
 
 DEFAULT_BUDGET_CAP = 100_000
@@ -89,6 +89,59 @@ def _check_s(p, s):
         raise ValueError(f"s must be in [1, {p}], got {s}")
 
 
+def _check_budget(planned, budget_cap, message):
+    """Raise BudgetExceededError with ``message.format(planned, budget_cap)``
+    when an enumeration plans more LPs than the cap allows."""
+    if planned > budget_cap:
+        raise BudgetExceededError(message.format(planned, budget_cap))
+
+
+def _enumerate_cones(psi, s, programs):
+    """Minimize over the cone LPs of every size-s support J and sign pattern.
+
+    Variables are z = [v (s), a (p-s), b (p-s), t] with delta_J = sigma*v,
+    delta_{J^c} = a - b and t the epigraph of |Psi delta|_inf.  For each
+    (J, sigma), in lexicographic order, the block rows
+    [Psi_J sigma, Psi_Jc, -Psi_Jc | -1], their negation and the cone row
+    are built once; ``programs(J, Jc, sigma)`` yields the LinearProgram
+    keywords (equality rows, bounds) of each LP to solve over them.
+    Returns (value, certificate, J, lp_count) for the first strictly
+    smallest OPTIMAL value.
+    """
+    p = psi.shape[0]
+    best = np.inf
+    best_cert = None
+    best_J = None
+    lp_count = 0
+    for J in combinations(range(p), s):
+        Jc = [j for j in range(p) if j not in set(J)]
+        k_j = len(Jc)
+        nv = s + 2 * k_j
+        obj = np.zeros(nv + 1)
+        obj[-1] = 1.0
+        b = np.zeros(2 * p + 1)
+        for sigma in product((1.0, -1.0), repeat=s):
+            sigma = np.array(sigma)
+            M = np.hstack([psi[:, list(J)] * sigma, psi[:, Jc], -psi[:, Jc]])
+            cone = np.concatenate([-np.ones(s), np.ones(2 * k_j), [0.0]])
+            A = np.vstack([
+                np.hstack([M, -np.ones((p, 1))]),
+                np.hstack([-M, -np.ones((p, 1))]),
+                cone,
+            ])
+            for rows in programs(J, Jc, sigma):
+                sol = solve_lp(LinearProgram(c=obj, A_ub=A, b_ub=b, **rows))
+                lp_count += 1
+                if sol.status is LpStatus.OPTIMAL and sol.objective_value < best:
+                    best = sol.objective_value
+                    z = sol.x
+                    best_cert = _delta_from_parts(p, J, sigma, z[:s],
+                                                  z[s:s + k_j],
+                                                  z[s + k_j:s + 2 * k_j])
+                    best_J = J
+    return float(best), best_cert, best_J, lp_count
+
+
 def kappa_inf_exact(psi, s, budget_cap=DEFAULT_BUDGET_CAP):
     """Exact sup-norm sensitivity by (support, signs, anchor) enumeration.
 
@@ -102,58 +155,32 @@ def kappa_inf_exact(psi, s, budget_cap=DEFAULT_BUDGET_CAP):
     psi = check_gram(psi)
     p = psi.shape[0]
     _check_s(p, s)
-    planned = math.comb(p, s) * (2 ** s) * 2 * p
-    if planned > budget_cap:
-        raise BudgetExceededError(
-            f"exact enumeration needs ~{planned} LPs > cap {budget_cap}; "
-            "use kappa_lower_bound")
+    _check_budget(math.comb(p, s) * (2 ** s) * 2 * p, budget_cap,
+                  "exact enumeration needs ~{} LPs > cap {}; "
+                  "use kappa_lower_bound")
+
+    def anchors(J, Jc, sigma):
+        k_j = len(Jc)
+        nv = s + 2 * k_j
+        for anchor in range(p):
+            lower = np.zeros(nv + 1)
+            upper = np.concatenate([np.ones(nv), [np.inf]])
+            if anchor in J:
+                pos = J.index(anchor)
+                if sigma[pos] < 0:
+                    continue            # anchor at +1 needs sigma=+1 there
+                lower[pos] = 1.0
+            else:
+                pos = Jc.index(anchor)
+                lower[s + pos] = 1.0
+                upper[s + k_j + pos] = 0.0
+            yield {"lower": lower, "upper": upper}
 
     t0 = time.perf_counter()
-    best = np.inf
-    best_cert = None
-    best_J = None
-    lp_count = 0
-    for J in combinations(range(p), s):
-        Jc = [j for j in range(p) if j not in set(J)]
-        k_j = len(Jc)
-        for sigma in product((1.0, -1.0), repeat=s):
-            sigma = np.array(sigma)
-            M = np.hstack([psi[:, list(J)] * sigma, psi[:, Jc], -psi[:, Jc]])
-            nv = s + 2 * k_j
-            cone = np.concatenate([-np.ones(s), np.ones(2 * k_j), [0.0]])
-            A = np.vstack([
-                np.hstack([M, -np.ones((p, 1))]),
-                np.hstack([-M, -np.ones((p, 1))]),
-                cone,
-            ])
-            b = np.zeros(2 * p + 1)
-            obj = np.zeros(nv + 1)
-            obj[-1] = 1.0
-            for anchor in range(p):
-                lower = np.zeros(nv + 1)
-                upper = np.concatenate([np.ones(nv), [np.inf]])
-                if anchor in J:
-                    pos = J.index(anchor)
-                    if sigma[pos] < 0:
-                        continue            # anchor at +1 needs sigma=+1 there
-                    lower[pos] = 1.0
-                else:
-                    pos = Jc.index(anchor)
-                    lower[s + pos] = 1.0
-                    upper[s + k_j + pos] = 0.0
-                sol = solve_lp(LinearProgram(c=obj, A_ub=A, b_ub=b,
-                                             lower=lower, upper=upper))
-                lp_count += 1
-                if sol.status is LpStatus.OPTIMAL and sol.objective_value < best:
-                    best = sol.objective_value
-                    z = sol.x
-                    best_cert = _delta_from_parts(p, J, sigma, z[:s],
-                                                  z[s:s + k_j],
-                                                  z[s + k_j:s + 2 * k_j])
-                    best_J = J
-    return SensitivityResult(value=float(best), kind=KIND_EXACT, s=s,
-                             q=np.inf, certificate=best_cert,
-                             certificate_J=best_J, lp_count=lp_count,
+    value, cert, cert_J, lp_count = _enumerate_cones(psi, s, anchors)
+    return SensitivityResult(value=value, kind=KIND_EXACT, s=s, q=np.inf,
+                             certificate=cert, certificate_J=cert_J,
+                             lp_count=lp_count,
                              wall_time=time.perf_counter() - t0)
 
 
@@ -197,46 +224,18 @@ def kappa_one(psi, s, budget_cap=DEFAULT_BUDGET_CAP, promote_p_max=4):
     psi = check_gram(psi)
     p = psi.shape[0]
     _check_s(p, s)
-    planned = math.comb(p, s) * (2 ** s)
-    if planned > budget_cap:
-        raise BudgetExceededError(
-            f"exact enumeration needs ~{planned} LPs > cap {budget_cap}; "
-            "use kappa_lower_bound with kappa_q_from_inf")
+    _check_budget(math.comb(p, s) * (2 ** s), budget_cap,
+                  "exact enumeration needs ~{} LPs > cap {}; "
+                  "use kappa_lower_bound with kappa_q_from_inf")
+
+    def unit_mass(J, Jc, sigma):
+        nv = s + 2 * len(Jc)
+        yield {"A_eq": np.concatenate([np.ones(nv), [0.0]])[None, :],
+               "b_eq": [1.0], "lower": np.zeros(nv + 1),
+               "upper": np.concatenate([np.ones(nv), [np.inf]])}
 
     t0 = time.perf_counter()
-    best = np.inf
-    best_cert = None
-    best_J = None
-    lp_count = 0
-    for J in combinations(range(p), s):
-        Jc = [j for j in range(p) if j not in set(J)]
-        k_j = len(Jc)
-        nv = s + 2 * k_j
-        for sigma in product((1.0, -1.0), repeat=s):
-            sigma = np.array(sigma)
-            M = np.hstack([psi[:, list(J)] * sigma, psi[:, Jc], -psi[:, Jc]])
-            cone = np.concatenate([-np.ones(s), np.ones(2 * k_j), [0.0]])
-            A = np.vstack([
-                np.hstack([M, -np.ones((p, 1))]),
-                np.hstack([-M, -np.ones((p, 1))]),
-                cone,
-            ])
-            b = np.zeros(2 * p + 1)
-            A_eq = np.concatenate([np.ones(nv), [0.0]])[None, :]
-            obj = np.zeros(nv + 1)
-            obj[-1] = 1.0
-            sol = solve_lp(LinearProgram(
-                c=obj, A_ub=A, b_ub=b, A_eq=A_eq, b_eq=[1.0],
-                lower=np.zeros(nv + 1),
-                upper=np.concatenate([np.ones(nv), [np.inf]])))
-            lp_count += 1
-            if sol.status is LpStatus.OPTIMAL and sol.objective_value < best:
-                best = sol.objective_value
-                z = sol.x
-                best_cert = _delta_from_parts(p, J, sigma, z[:s],
-                                              z[s:s + k_j],
-                                              z[s + k_j:s + 2 * k_j])
-                best_J = J
+    best, best_cert, best_J, lp_count = _enumerate_cones(psi, s, unit_mass)
 
     kind = KIND_LOWER_BOUND
     cert = None
@@ -247,7 +246,7 @@ def kappa_one(psi, s, budget_cap=DEFAULT_BUDGET_CAP, promote_p_max=4):
             kind = KIND_EXACT
             cert = best_cert
             cert_J = best_J
-    return SensitivityResult(value=float(best), kind=kind, s=s, q=1.0,
+    return SensitivityResult(value=best, kind=kind, s=s, q=1.0,
                              certificate=cert, certificate_J=cert_J,
                              lp_count=lp_count,
                              wall_time=time.perf_counter() - t0)
@@ -281,52 +280,27 @@ def kappa_star(psi, s, k, budget_cap=DEFAULT_BUDGET_CAP, exact_p_max=6):
 
     t0 = time.perf_counter()
     if p <= exact_p_max:
-        planned = math.comb(p, s) * (2 ** s)
-        if planned > budget_cap:
-            raise BudgetExceededError(f"~{planned} LPs > cap {budget_cap}")
-        best = np.inf
-        best_cert = None
-        best_J = None
-        lp_count = 0
-        for J in combinations(range(p), s):
-            Jc = [j for j in range(p) if j not in set(J)]
+        _check_budget(math.comb(p, s) * (2 ** s), budget_cap,
+                      "~{} LPs > cap {}")
+
+        def anchored(J, Jc, sigma):
+            if k in J and sigma[J.index(k)] < 0:
+                return
             k_j = len(Jc)
-            nv = s + 2 * k_j
-            for sigma in product((1.0, -1.0), repeat=s):
-                sigma = np.array(sigma)
-                if k in J and sigma[J.index(k)] < 0:
-                    continue
-                M = np.hstack([psi[:, list(J)] * sigma, psi[:, Jc], -psi[:, Jc]])
-                cone = np.concatenate([-np.ones(s), np.ones(2 * k_j), [0.0]])
-                A = np.vstack([
-                    np.hstack([M, -np.ones((p, 1))]),
-                    np.hstack([-M, -np.ones((p, 1))]),
-                    cone,
-                ])
-                b = np.zeros(2 * p + 1)
-                obj = np.zeros(nv + 1)
-                obj[-1] = 1.0
-                anchor = np.zeros(nv + 1)
-                if k in J:
-                    anchor[J.index(k)] = 1.0
-                else:
-                    pos = Jc.index(k)
-                    anchor[s + pos] = 1.0
-                    anchor[s + k_j + pos] = -1.0
-                sol = solve_lp(LinearProgram(
-                    c=obj, A_ub=A, b_ub=b, A_eq=anchor[None, :], b_eq=[1.0],
-                    lower=np.zeros(nv + 1)))
-                lp_count += 1
-                if sol.status is LpStatus.OPTIMAL and sol.objective_value < best:
-                    best = sol.objective_value
-                    z = sol.x
-                    best_cert = _delta_from_parts(p, J, sigma, z[:s],
-                                                  z[s:s + k_j],
-                                                  z[s + k_j:s + 2 * k_j])
-                    best_J = J
-        return SensitivityResult(value=float(best), kind=KIND_EXACT, s=s,
-                                 coord=k, certificate=best_cert,
-                                 certificate_J=best_J, lp_count=lp_count,
+            anchor = np.zeros(s + 2 * k_j + 1)
+            if k in J:
+                anchor[J.index(k)] = 1.0
+            else:
+                pos = Jc.index(k)
+                anchor[s + pos] = 1.0
+                anchor[s + k_j + pos] = -1.0
+            yield {"A_eq": anchor[None, :], "b_eq": [1.0],
+                   "lower": np.zeros_like(anchor)}
+
+        value, cert, cert_J, lp_count = _enumerate_cones(psi, s, anchored)
+        return SensitivityResult(value=value, kind=KIND_EXACT, s=s, coord=k,
+                                 certificate=cert, certificate_J=cert_J,
+                                 lp_count=lp_count,
                                  wall_time=time.perf_counter() - t0)
 
     # relaxed single LP: vars [a (p), b (p), M, t]
@@ -412,13 +386,9 @@ def empirical_gram(Z, D_hat=None):
     May fail to be positive semidefinite; the sensitivity computations do
     not require psd-ness.
     """
-    Z = np.asarray(Z, dtype=float)
-    n = Z.shape[0]
-    psi = Z.T @ Z / n
     if D_hat is not None:
-        d = np.asarray(getattr(D_hat, "sigma_hat_sq", D_hat), dtype=float)
-        psi[np.diag_indices_from(psi)] -= d
-    return psi
+        D_hat = np.asarray(getattr(D_hat, "sigma_hat_sq", D_hat), dtype=float)
+    return gram(Z, D_hat)
 
 
 def _ratio(num, kappa):

@@ -258,6 +258,23 @@ class TestSensitivity:
         assert r.exit_code == 0
         assert json.loads(r.output)["kind"] == "lower_bound"
 
+    @pytest.mark.parametrize("q, lower", [("2", False), ("2", True),
+                                          ("1", True)])
+    def test_reduction_from_inf(self, runner, data_dir, q, lower):
+        from musel.sensitivity import (kappa_inf_exact, kappa_lower_bound,
+                                       kappa_q_from_inf)
+        path = data_dir / "rho05.csv"
+        psi = read_matrix(path)
+        base = kappa_lower_bound(psi, 1) if lower else kappa_inf_exact(psi, 1)
+        r = runner.invoke(cli, ["sensitivity", "--gram", str(path), "--s", "1",
+                                "--q", q] + (["--lower-bound"] if lower else []))
+        assert r.exit_code == 0, r.output
+        blob = json.loads(r.output)
+        assert blob["kind"] == "lower_bound"
+        assert blob["q"] == float(q)
+        assert blob["certificate"] is None
+        assert blob["value"] == kappa_q_from_inf(base.value, 1, float(q))
+
     def test_q2_reduction(self, runner, data_dir):
         r = runner.invoke(cli, ["sensitivity", "--gram",
                                 str(data_dir / "eye3.csv"), "--s", "1",

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from musel.core import (ProblemInstance, TruthRecord, as_matrix, coherence,
-                        error_matrices, gram, normalize_design,
-                        re_constant_bruteforce)
+from musel.core import (as_matrix, coherence, error_matrices, gram,
+                        normalize_design, re_constant_bruteforce)
 
 
 def gram_tripleloop(X):
@@ -55,6 +54,18 @@ class TestGram:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             gram(np.zeros((0, 3)))
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            as_matrix(np.array([[1.0, np.nan]]))
+
+    def test_diagonal_subtracted(self, rng):
+        X = rng.standard_normal((6, 3))
+        d = np.array([0.1, 0.0, 0.3])
+        G = gram(X, d)
+        assert np.array_equal(G, gram(X) - np.diag(d))
+        assert np.array_equal(G[~np.eye(3, dtype=bool)],
+                              gram(X)[~np.eye(3, dtype=bool)])
 
 
 class TestNormalizeDesign:
@@ -167,29 +178,3 @@ class TestReConstant:
     def test_p_cap_enforced(self):
         with pytest.raises(ValueError, match="p <="):
             re_constant_bruteforce(np.eye(9), 1)
-
-
-class TestProblemInstance:
-    def test_truth_consistency(self, rng):
-        n, p = 8, 3
-        X = rng.standard_normal((n, p))
-        theta = np.array([1.0, 0.0, -2.0])
-        xi = 0.01 * rng.standard_normal(n)
-        y = X @ theta + xi
-        inst = ProblemInstance(Z=X, y=y, domain="free",
-                               truth=TruthRecord(X=X, Xi=np.zeros((n, p)),
-                                                 xi=xi, theta_star=theta))
-        assert inst.n == n and inst.p == p
-
-    def test_truth_mismatch_rejected(self, rng):
-        n, p = 8, 3
-        X = rng.standard_normal((n, p))
-        with pytest.raises(ValueError, match="theta"):
-            ProblemInstance(Z=X, y=np.ones(n),
-                            truth=TruthRecord(X=X, Xi=np.zeros((n, p)),
-                                              xi=np.zeros(n),
-                                              theta_star=np.zeros(p)))
-
-    def test_nan_rejected(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            as_matrix(np.array([[1.0, np.nan]]))

@@ -1,6 +1,8 @@
 """Selector tests: LP construction, solutions against a grid brute-force
 oracle, reductions, feasibility, and the pair-form equivalence."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from musel.estimators import (SelectorConfig, build_cmu_lp,
                               solve_compensated_mu, solve_dantzig,
                               solve_missing_data_cmu, solve_mu_selector)
 from musel.lp import LpStatus, solve_lp
+from musel.missing import MaskedDesign, estimate_pi, rescale, sigma_hat
 
 from conftest import selector_instance
 
@@ -265,6 +268,20 @@ class TestMissingData:
         gap = float(np.sum(np.abs(a.theta - b.theta)))
         assert gap <= 1.0 * (abs(pi_hat - 0.1) + 0.05) * (a.l1_norm + 1.0)
 
+    def test_direct_residual_is_masked_program(self):
+        _, _, y, Z_tilde = selector_instance(32, n=20, p=5, s=1, pi=0.1)
+        cfg = SelectorConfig(mu=0.11, tau=0.05)
+        est = solve_missing_data_cmu(Z_tilde, y, pi=None, config=cfg,
+                                     path="direct")
+        masked = MaskedDesign(Z_tilde=Z_tilde)
+        pi = estimate_pi(masked)
+        G = Z_tilde.T @ Z_tilde / 20
+        G[np.diag_indices_from(G)] -= sigma_hat(masked, pi).sigma_hat_sq
+        c = (1.0 - pi) * (Z_tilde.T @ y) / 20
+        l1 = float(np.sum(np.abs(est.theta)))
+        expect = float(np.max(np.abs(c - G @ est.theta))) - (0.11 * l1 + 0.05)
+        assert est.residual == expect
+
     def test_direct_needs_scalar_pi(self, rng):
         Z = np.abs(rng.standard_normal((5, 3))) + 0.1
         cfg = SelectorConfig(mu=0.1, tau=0.2)
@@ -293,6 +310,36 @@ class TestFeasibilityCheck:
                              compensation=np.zeros(3))
         residual, feasible = feasibility_check(np.zeros(3), Z, y, cfg)
         assert feasible and residual < 0
+
+
+class TestResidual:
+    """Estimate.residual is the residual of the program the selector solved,
+    bit for bit what feasibility_check reports for the same program."""
+
+    @pytest.mark.parametrize("case", ["mu", "cmu", "dantzig", "free",
+                                      "missing"])
+    def test_matches_feasibility_check(self, case):
+        X, _, y, Z_tilde = selector_instance(33, n=20, p=6, s=1, pi=0.1)
+        cfg = SelectorConfig(mu=0.11, tau=0.05,
+                             domain="free" if case == "free" else "nonneg")
+        Z = X
+        if case in ("mu", "free"):
+            est = solve_mu_selector(X, y, cfg)
+        elif case == "cmu":
+            cfg = replace(cfg, compensation=np.full(6, 0.02))
+            est = solve_compensated_mu(X, y, cfg)
+        elif case == "dantzig":
+            cfg = SelectorConfig(mu=0.0, tau=0.05)
+            est = solve_dantzig(X, y, 0.05)
+        else:
+            est = solve_missing_data_cmu(Z_tilde, y, pi=0.1, config=cfg)
+            masked = MaskedDesign(Z_tilde=Z_tilde)
+            Z = rescale(masked, 0.1)
+            cfg = replace(cfg, compensation=sigma_hat(masked, 0.1).sigma_hat_sq)
+        assert est.status is LpStatus.OPTIMAL
+        residual, feasible = feasibility_check(est.theta, Z, y, cfg)
+        assert est.residual == residual
+        assert feasible
 
 
 class TestLiftToPair:

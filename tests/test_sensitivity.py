@@ -94,12 +94,22 @@ class TestKappaInf:
         with pytest.raises(BudgetExceededError, match="kappa_lower_bound"):
             kappa_inf_exact(np.eye(40), 3, budget_cap=1000)
 
-    def test_certificate_attains(self):
-        psi = normalized_gram(4, 30, 3)
-        r = kappa_inf_exact(psi, 2)
+    # (routine, Gram seed, s, scale the certificate is normalized to): all
+    # three share one certificate code path, so each must return a vector
+    # that attains its value.  kappa_one carries a certificate only when
+    # promoted to exact, which the seed-8 Gram at s=1 is.
+    @pytest.mark.parametrize("kappa, seed, s, scale", [
+        (kappa_inf_exact, 3, 2, lambda d: np.max(np.abs(d))),
+        (kappa_one, 8, 1, lambda d: np.sum(np.abs(d))),
+        (lambda psi, s: kappa_star(psi, s, 1), 3, 2, lambda d: d[1]),
+    ], ids=["inf", "one", "star"])
+    def test_certificate_attains(self, kappa, seed, s, scale):
+        psi = normalized_gram(4, 30, seed)
+        r = kappa(psi, s)
+        assert r.kind == "exact"
         assert r.certificate is not None
         assert in_cone(r.certificate, r.certificate_J, tol=1e-9)
-        assert np.max(np.abs(r.certificate)) == pytest.approx(1.0, abs=1e-7)
+        assert scale(r.certificate) == pytest.approx(1.0, abs=1e-7)
         attained = float(np.max(np.abs(psi @ r.certificate)))
         assert attained == pytest.approx(r.value, abs=1e-7)
 
