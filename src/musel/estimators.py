@@ -10,10 +10,15 @@ selector; with Dhat = 0 it is the plain matrix-uncertainty selector; with
 an estimated Dhat it is the compensated selector.
 
 Over the nonnegative orthant the problem is a single linear program.  Over
-all of R^p the |theta|_1 on the relaxing side makes a one-shot sign-split
-LP inexact; we solve it by a bisection-safeguarded fixed point on
-r = |theta|_1 (each inner step an LP with constraint radius mu*r + tau),
-which converges to the exact optimum when the fixed point is reached.
+all of R^p it is the same LP for [G, -G] in x = (theta+, theta-) >= 0:
+
+- every feasible theta gives a feasible x with 1'x = |theta|_1, so the LP
+  value v is at most the selector's value;
+- an optimal x with no index positive in both parts has |theta|_1 = 1'x = v
+  and is feasible, so it is optimal;
+- when the fixed point g(r) = r of g(r) = min |theta|_1 over
+  |c - G theta|_inf <= mu*r + tau exists, the optimum has no such pair: a
+  pair would give g(v) < v, hence v > r* >= v.
 """
 
 from dataclasses import dataclass, replace
@@ -42,8 +47,6 @@ class SelectorConfig:
     feas_tol: float = 1e-9
     opt_tol: float = 1e-9
     max_iters: int = None
-    fixed_point_max_rounds: int = 50
-    fixed_point_tol: float = 1e-8
 
     def __post_init__(self):
         if not (np.isfinite(self.mu) and self.mu >= 0):
@@ -65,8 +68,8 @@ class Estimate:
 
     support holds the indices with |theta_j| above the nonzero threshold;
     residual is |c - G theta|_inf - (mu*|theta|_1 + tau) for the (G, c) the
-    selector solved over (<= feas_tol when theta is feasible); fp_* report
-    the fixed-point loop used for the free domain (None for the single-LP
+    selector solved over (<= feas_tol when theta is feasible); fp_rounds
+    counts the LPs solved by the free-domain path (1; None on the
     nonnegative path).
     """
 
@@ -77,7 +80,6 @@ class Estimate:
     iterations: int
     residual: float = None
     fp_rounds: int = None
-    fp_converged: bool = None
 
     @property
     def optimal(self):
@@ -139,18 +141,12 @@ def build_cmu_lp_direct(Z, y, config):
 
 
 def _direct_lp(G, c, mu, tau):
-    p = G.shape[0]
+    """min 1'x over x >= 0 with |c - G x|_inf <= mu*1'x + tau, for a G of
+    any width: the selector LP of both domains."""
+    n = G.shape[1]
     A = np.vstack([G - mu, -G - mu])
     b = np.concatenate([tau + c, tau - c])
-    return LinearProgram(c=np.ones(p), A_ub=A, b_ub=b, lower=np.zeros(p))
-
-
-def _split_lp(G, c, radius):
-    """min sum(th_pos + th_neg) s.t. |c - G(th_pos - th_neg)|_inf <= radius."""
-    p = G.shape[0]
-    A = np.vstack([np.hstack([G, -G]), np.hstack([-G, G])])
-    b = np.concatenate([radius + c, radius - c])
-    return LinearProgram(c=np.ones(2 * p), A_ub=A, b_ub=b, lower=np.zeros(2 * p))
+    return LinearProgram(c=np.ones(n), A_ub=A, b_ub=b, lower=np.zeros(n))
 
 
 def _make_estimate(theta, status, iterations, threshold, **kw):
@@ -170,96 +166,24 @@ def _solve_nonneg(G, c, config):
 
 
 def _solve_free(G, c, config):
-    """Bisection-safeguarded fixed point on r = |theta|_1.
+    """The selector LP of [G, -G] over x = (theta+, theta-) >= 0.
 
-    g(r) = min |theta|_1 over |c - G theta|_inf <= mu*r + tau is
-    nonincreasing, so phi(r) = g(r) - r is strictly decreasing with at most
-    one root r*, which equals the optimal value of the original problem; a
-    theta attaining g(r*) = r* solves it exactly.  An iterate at radius
-    mu*r + tau is feasible in the original set precisely when its norm is
-    >= r, i.e. on the phi >= 0 side, so the loop terminates only there.
-    Infeasible inner LPs count as phi = +inf (radius below feasibility).
+    An optimal x with no index positive in both parts is certified optimal
+    (module docstring).  A pair at the optimum means g(r) = r has no root;
+    it is reported as INFEASIBLE with theta = 0.
     """
     p = G.shape[0]
-    mu, tau = config.mu, config.tau
-    iters = 0
-
-    def run(radius):
-        sol = solve_lp(_split_lp(G, c, radius), feas_tol=config.feas_tol,
-                       opt_tol=config.opt_tol, max_iters=config.max_iters)
+    sol = solve_lp(_direct_lp(np.hstack([G, -G]), c, config.mu, config.tau),
+                   feas_tol=config.feas_tol, opt_tol=config.opt_tol,
+                   max_iters=config.max_iters)
+    theta, status = np.zeros(p), sol.status
+    if status is LpStatus.OPTIMAL:
+        split = float(np.sum(sol.x))
         theta = sol.x[:p] - sol.x[p:]
-        return sol, theta
-
-    if mu == 0.0:
-        sol, theta = run(tau)
-        if sol.status is not LpStatus.OPTIMAL:
-            theta = np.zeros(p)
-        return _make_estimate(theta, sol.status, sol.iterations,
-                              config.nonzero_threshold, fp_rounds=1,
-                              fp_converged=sol.status is LpStatus.OPTIMAL)
-
-    # bracket [r_lo, r_hi] around the root; theta = 0 is feasible once
-    # mu*r + tau >= |c|_inf, which pins a finite r_hi with phi(r_hi) <= 0.
-    r_hi = max(0.0, (float(np.max(np.abs(c))) - tau) / mu)
-    r_lo = 0.0
-    r = 0.0
-    best = None          # (l1, theta) among iterates feasible in the original set
-    converged = False
-    rounds = 0
-    widths = []
-    for rounds in range(1, config.fixed_point_max_rounds + 1):
-        sol, theta = run(mu * r + tau)
-        iters += sol.iterations
-        if sol.status is LpStatus.ITERATION_LIMIT:
-            return _make_estimate(np.zeros(p), sol.status, iters,
-                                  config.nonzero_threshold, fp_rounds=rounds,
-                                  fp_converged=False)
-        if sol.status is LpStatus.OPTIMAL:
-            l1 = float(np.sum(np.abs(theta)))
-            phi = l1 - r
-            if phi >= 0.0 and (best is None or l1 < best[0]):
-                best = (l1, theta)
-            if 0.0 <= phi <= config.fixed_point_tol:
-                converged = True
-                break
-            if abs(phi) <= config.fixed_point_tol:
-                # within tolerance from the infeasible side: confirm with one
-                # solve at r = l1 <= r*, which lands on the feasible side
-                sol2, theta2 = run(mu * l1 + tau)
-                iters += sol2.iterations
-                rounds += 1
-                if sol2.status is LpStatus.OPTIMAL:
-                    l12 = float(np.sum(np.abs(theta2)))
-                    if (l12 >= l1 - config.fixed_point_tol
-                            and (best is None or l12 < best[0])):
-                        best = (l12, theta2)
-                    if best is None:
-                        best = (l1, theta)   # residual <= mu*tol, acceptable
-                    converged = True
-                    break
-            if phi > 0:
-                r_lo = max(r_lo, r)
-            else:
-                r_hi = min(r_hi, r)
-            r_next = l1
-        else:
-            # infeasible at this radius: the root lies above
-            r_lo = max(r_lo, r)
-            r_next = r_hi
-        widths.append(r_hi - r_lo)
-        stalled = len(widths) >= 2 and widths[-1] > 0.7 * widths[-2]
-        if not (r_lo < r_next < r_hi) or stalled:
-            r_next = 0.5 * (r_lo + r_hi)
-        r = r_next
-
-    if best is not None:
-        l1, theta = best
-        status = LpStatus.OPTIMAL if converged else LpStatus.ITERATION_LIMIT
-        return _make_estimate(theta, status, iters, config.nonzero_threshold,
-                              fp_rounds=rounds, fp_converged=converged)
-    return _make_estimate(np.zeros(p), LpStatus.INFEASIBLE, iters,
-                          config.nonzero_threshold, fp_rounds=rounds,
-                          fp_converged=False)
+        if split - np.sum(np.abs(theta)) > config.feas_tol * (1.0 + split):
+            theta, status = np.zeros(p), LpStatus.INFEASIBLE
+    return _make_estimate(theta, status, sol.iterations,
+                          config.nonzero_threshold, fp_rounds=1)
 
 
 def _residual(G, c, theta, mu, tau):

@@ -25,7 +25,6 @@ DEFAULT_BUDGET_CAP = 100_000
 
 KIND_EXACT = "exact"
 KIND_LOWER_BOUND = "lower_bound"
-KIND_BRUTEFORCE = "bruteforce_approx"
 
 
 class BudgetExceededError(ValueError):
@@ -36,7 +35,7 @@ class BudgetExceededError(ValueError):
 class SensitivityResult:
     """A sensitivity value with provenance.
 
-    kind is "exact", "lower_bound" or "bruteforce_approx"; q is the norm
+    kind is "exact" or "lower_bound"; q is the norm
     index (float, with inf for the sup norm) or None for coordinate-wise
     results, which carry the coordinate in ``coord``.  certificate (and its
     support J) is attached only when it provably attains the value.

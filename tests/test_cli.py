@@ -85,6 +85,26 @@ class TestEstimate:
         _, feasible = feasibility_check(np.array(blob["theta"]), Z, y, cfg)
         assert feasible
 
+    @pytest.mark.parametrize("mode", ["mu", "dantzig"])
+    def test_free_domain_matches_library(self, runner, data_dir, mode):
+        from musel.estimators import SelectorConfig, solve_dantzig, solve_mu_selector
+        r = runner.invoke(cli, ["estimate", "--design", str(data_dir / "Z.csv"),
+                                "--response", str(data_dir / "y.csv"),
+                                "--mode", mode, "--mu", "0.05", "--tau", "0.05",
+                                "--domain", "free"])
+        assert r.exit_code == 0, r.output
+        blob = json.loads(r.output)
+        assert blob["status"] == "optimal"
+        assert blob["feasibility_residual"] <= 1e-9
+        Z = read_matrix(data_dir / "Z.csv")
+        y = read_vector(data_dir / "y.csv")
+        if mode == "mu":
+            est = solve_mu_selector(Z, y, SelectorConfig(mu=0.05, tau=0.05,
+                                                         domain="free"))
+        else:
+            est = solve_dantzig(Z, y, 0.05, domain="free")
+        assert np.array(blob["theta"]).tobytes() == est.theta.tobytes()
+
     def test_zero_response_gives_zero(self, runner, data_dir):
         r = runner.invoke(cli, ["estimate", "--design", str(data_dir / "Z.csv"),
                                 "--response", str(data_dir / "y0.csv"),

@@ -2,16 +2,18 @@
 oracle, reductions, feasibility, and the pair-form equivalence."""
 
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
 
+from musel import estimators
 from musel.estimators import (SelectorConfig, build_cmu_lp,
                               build_cmu_lp_direct, feasibility_check,
                               lift_to_pair, selector_gram,
                               solve_compensated_mu, solve_dantzig,
                               solve_missing_data_cmu, solve_mu_selector)
-from musel.lp import LpStatus, solve_lp
+from musel.lp import LinearProgram, LpStatus, solve_lp
 from musel.missing import MaskedDesign, estimate_pi, rescale, sigma_hat
 
 from conftest import selector_instance
@@ -64,6 +66,41 @@ def cmu_objective_vs_grid(seed, p, n, mu, tau_scale=1.0):
     radius = 2.0 * (est.l1_norm + 1.0)
     ref = grid_min_l1(G, c, mu, tau, radius, center=est.theta)
     return est.l1_norm, ref
+
+
+def free_instance(seed, compensated):
+    """(Z, y, Dhat) with a mixed-sign two-sparse truth and p <= 6; Dhat is
+    zero (MU) or sigma_hat of a 10%-masked design (compensated)."""
+    rng = np.random.default_rng(seed)
+    n, p = int(rng.integers(8, 16)), int(rng.integers(2, 7))
+    X = rng.standard_normal((n, p))
+    theta = np.zeros(p)
+    theta[rng.choice(p, 2, replace=False)] = [0.8, -0.5]
+    y = X @ theta + 0.05 * rng.standard_normal(n)
+    if not compensated:
+        return X, y, np.zeros(p)
+    masked = MaskedDesign(Z_tilde=X * (rng.random((n, p)) >= 0.1))
+    return rescale(masked, 0.1), y, sigma_hat(masked, 0.1).sigma_hat_sq
+
+
+def orthant_min_l1(G, c, mu, tau):
+    """Exact free-domain selector value: in the orthant of sign vector
+    sigma, |theta|_1 = sigma'theta, so each orthant is the LP
+    min sigma'theta s.t. +-(c - G theta) <= mu*sigma'theta + tau,
+    sigma*theta >= 0; the value is the minimum over all 2^p of them."""
+    p = G.shape[0]
+    best = np.inf
+    for sigma in product((1.0, -1.0), repeat=p):
+        sigma = np.array(sigma)
+        lp = LinearProgram(c=sigma, A_ub=np.vstack([-G - mu * sigma,
+                                                    G - mu * sigma]),
+                           b_ub=np.concatenate([tau - c, tau + c]),
+                           lower=np.where(sigma > 0, 0.0, -np.inf),
+                           upper=np.where(sigma > 0, np.inf, 0.0))
+        sol = solve_lp(lp)
+        if sol.status is LpStatus.OPTIMAL:
+            best = min(best, sol.objective_value)
+    return best
 
 
 class TestBuildCmuLp:
@@ -417,7 +454,6 @@ class TestFreeDomain:
         free_cfg = SelectorConfig(mu=mu, tau=tau, domain="free")
         est = solve_mu_selector(Z, y, free_cfg)
         assert est.status is LpStatus.OPTIMAL
-        assert est.fp_converged
         chk = SelectorConfig(mu=mu, tau=tau, domain="free",
                              compensation=np.zeros(5))
         residual, feasible = feasibility_check(est.theta, Z, y, chk)
@@ -425,3 +461,78 @@ class TestFreeDomain:
         nn = solve_mu_selector(Z, y, SelectorConfig(mu=mu, tau=tau))
         if nn.status is LpStatus.OPTIMAL:
             assert est.l1_norm <= nn.l1_norm + 1e-7
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_orthant_oracle(self, seed, monkeypatch):
+        """The one sign-split LP against the minimum over all 2^p orthant
+        LPs; odd seeds are compensated (Dhat = sigma_hat of a masked design)."""
+        solutions = []
+
+        def recording(lp, *args, **kwargs):
+            solutions.append(solve_lp(lp, *args, **kwargs))
+            return solutions[-1]
+
+        monkeypatch.setattr(estimators, "solve_lp", recording)
+        Z, y, d = free_instance(900 + seed, compensated=seed % 2 == 1)
+        G, c = selector_gram(Z, y, d)
+        tau = 0.1 * float(np.max(np.abs(c)))
+        for mu in (0.05, 0.15, 0.3):
+            cfg = SelectorConfig(mu=mu, tau=tau, domain="free", compensation=d)
+            est = solve_compensated_mu(Z, y, cfg)
+            assert est.status is LpStatus.OPTIMAL
+            oracle = orthant_min_l1(G, c, mu, tau)
+            assert abs(est.l1_norm - oracle) <= 1e-9 * max(1.0, oracle)
+            residual, feasible = feasibility_check(est.theta, Z, y, cfg)
+            assert feasible, residual
+            assert np.sum(solutions[-1].x) == pytest.approx(est.l1_norm,
+                                                            rel=1e-12)
+
+    def test_zero_gram_is_optimal(self):
+        """Psi = 0: theta = 1.6 is feasible through the mu*|theta|_1 slack
+        alone, and nothing smaller is."""
+        Z, y = [[1.0], [1.0]], [1.0, 1.0]
+        cfg = SelectorConfig(mu=0.5, tau=0.2, domain="free", compensation=[1.0])
+        est = solve_compensated_mu(Z, y, cfg)
+        assert est.status is LpStatus.OPTIMAL
+        assert np.allclose(est.theta, [1.6], rtol=0, atol=1e-12)
+        residual, feasible = feasibility_check(est.theta, Z, y, cfg)
+        assert feasible, residual
+
+    def test_certified_where_rounds_ran_out(self):
+        """An MU instance on which 50 bisection-safeguarded fixed-point
+        rounds stopped at l1 0.492166304 without converging."""
+        rng = np.random.default_rng(44)
+        n, p = int(rng.integers(3, 12)), int(rng.integers(2, 9))
+        Z = rng.standard_normal((n, p))
+        y = rng.standard_normal(n)
+        mu = rng.random() * 0.4
+        tau = rng.random() * 0.3 * float(np.max(np.abs(Z.T @ y / n)))
+        est = solve_mu_selector(Z, y, SelectorConfig(mu=mu, tau=tau,
+                                                     domain="free"))
+        assert est.status is LpStatus.OPTIMAL
+        assert est.l1_norm <= 0.492166304
+        chk = SelectorConfig(mu=mu, tau=tau, domain="free",
+                             compensation=np.zeros(p))
+        assert feasibility_check(est.theta, Z, y, chk)[1]
+
+    def test_paired_optimum_not_optimal(self):
+        """Row and column 0 of G are zero, so theta_0 only buys slack: the
+        sign-split LP pairs theta_0+ with theta_0-, and no theta attains
+        its value.  The result must not claim optimality."""
+        rng = np.random.default_rng(50_035)
+        p = int(rng.integers(1, 5))
+        M = rng.standard_normal((p, p))
+        G = (M + M.T) / 2.0
+        G[0, :] = 0.0
+        G[:, 0] = 0.0
+        c = rng.standard_normal(p)
+        mu = rng.random() + 0.01
+        tau = rng.random() * 0.5 * float(np.max(np.abs(c)))
+        d = (abs(np.linalg.eigvalsh(G)[0]) + 1.0) * np.ones(p)
+        Z = np.linalg.cholesky(p * (G + np.diag(d))).T
+        y = p * np.linalg.solve(Z.T, c)
+        est = solve_compensated_mu(Z, y, SelectorConfig(
+            mu=mu, tau=tau, domain="free", compensation=d))
+        assert est.status is not LpStatus.OPTIMAL
+        assert np.array_equal(est.theta, np.zeros(p))
+
