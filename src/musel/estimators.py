@@ -19,15 +19,21 @@ all of R^p it is the same LP for [G, -G] in x = (theta+, theta-) >= 0:
 - when the fixed point g(r) = r of g(r) = min |theta|_1 over
   |c - G theta|_inf <= mu*r + tau exists, the optimum has no such pair: a
   pair would give g(v) < v, hence v > r* >= v.
+
+When a pair does occur, p <= ORTHANT_P_MAX takes the least of the 2^p
+LPs with the signs of theta fixed; a larger p is reported INFEASIBLE.
 """
 
 from dataclasses import dataclass, replace
+from itertools import product
 
 import numpy as np
 
 from .core import as_matrix, as_vector, gram
 from .lp import LinearProgram, LpStatus, solve_lp
 from .missing import MaskedDesign, check_no_dead_columns, estimate_pi, rescale, sigma_hat
+
+ORTHANT_P_MAX = 6       # largest p whose paired optimum falls back to orthants
 
 
 @dataclass(frozen=True)
@@ -69,8 +75,7 @@ class Estimate:
     support holds the indices with |theta_j| above the nonzero threshold;
     residual is |c - G theta|_inf - (mu*|theta|_1 + tau) for the (G, c) the
     selector solved over (<= feas_tol when theta is feasible); fp_rounds
-    counts the LPs solved by the free-domain path (1; None on the
-    nonnegative path).
+    counts the LPs the free-domain path solved (None on the nonneg path).
     """
 
     theta: np.ndarray
@@ -170,7 +175,8 @@ def _solve_free(G, c, config):
 
     An optimal x with no index positive in both parts is certified optimal
     (module docstring).  A pair at the optimum means g(r) = r has no root;
-    it is reported as INFEASIBLE with theta = 0.
+    for p <= ORTHANT_P_MAX the 2^p sign orthants are then solved instead,
+    otherwise the result is INFEASIBLE with theta = 0.
     """
     p = G.shape[0]
     sol = solve_lp(_direct_lp(np.hstack([G, -G]), c, config.mu, config.tau),
@@ -181,9 +187,32 @@ def _solve_free(G, c, config):
         split = float(np.sum(sol.x))
         theta = sol.x[:p] - sol.x[p:]
         if split - np.sum(np.abs(theta)) > config.feas_tol * (1.0 + split):
+            if p <= ORTHANT_P_MAX:
+                return _solve_orthants(G, c, config, sol.iterations)
             theta, status = np.zeros(p), LpStatus.INFEASIBLE
     return _make_estimate(theta, status, sol.iterations,
                           config.nonzero_threshold, fp_rounds=1)
+
+
+def _solve_orthants(G, c, config, iterations):
+    """The least of the 2^p orthant LPs: in the orthant of sign vector
+    sigma, theta = sigma*x with x >= 0 and |theta|_1 = 1'x, which is the
+    selector LP of G*sigma.  An orthant that ends neither OPTIMAL nor
+    INFEASIBLE leaves the minimum unproven: its status is returned."""
+    p = G.shape[0]
+    best, theta, status = np.inf, np.zeros(p), LpStatus.INFEASIBLE
+    for rounds, sigma in enumerate(product((1.0, -1.0), repeat=p), start=2):
+        sol = solve_lp(_direct_lp(G * sigma, c, config.mu, config.tau),
+                       feas_tol=config.feas_tol, opt_tol=config.opt_tol,
+                       max_iters=config.max_iters)
+        iterations += sol.iterations
+        if sol.status is LpStatus.OPTIMAL and sol.objective_value < best:
+            best, theta, status = sol.objective_value, sigma * sol.x, sol.status
+        elif sol.status not in (LpStatus.OPTIMAL, LpStatus.INFEASIBLE):
+            theta, status = np.zeros(p), sol.status
+            break
+    return _make_estimate(theta, status, iterations, config.nonzero_threshold,
+                          fp_rounds=rounds)
 
 
 def _residual(G, c, theta, mu, tau):

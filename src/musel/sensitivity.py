@@ -5,10 +5,13 @@ in the union of cones C_J = {delta : |delta_{J^c}|_1 <= |delta_J|_1} with
 |J| <= s.  Because C_J grows with J, the minimum over |J| <= s is attained
 at |J| = s, so only size-s supports are enumerated.
 
-Exact values come from enumerating (support, sign pattern, anchor
-coordinate) and solving one small LP per combination.  A budget cap guards
-the combinatorial blow-up; past it, kappa_lower_bound provides a valid
-linear-programming lower bound for any p.
+Exact values come from enumerating (support, sign pattern) pairs and
+solving a few small LPs per pair.  The delta -> -delta symmetry and the
+fact that a cone vector lies in the cone of its own s largest entries
+leave s*2^(s-1) anchor LPs per support for kappa_inf; kappa_one is exact
+when its best LP optimum is a genuine unit-l1 vector, which it certifies.
+A budget cap guards the combinatorial blow-up; past it, kappa_lower_bound
+provides a valid linear-programming lower bound for any p.
 """
 
 import math
@@ -22,6 +25,10 @@ from .core import check_gram, gram
 from .lp import LinearProgram, LpStatus, solve_lp
 
 DEFAULT_BUDGET_CAP = 100_000
+# kappa_one enumerates the sign orthants of J^c up to this p, so its result
+# is always exact there; kappa_star enumerates exactly up to STAR_EXACT_P_MAX.
+ORTHANT_P_MAX = 4
+STAR_EXACT_P_MAX = 6
 
 KIND_EXACT = "exact"
 KIND_LOWER_BOUND = "lower_bound"
@@ -144,36 +151,30 @@ def _enumerate_cones(psi, s, programs):
 def kappa_inf_exact(psi, s, budget_cap=DEFAULT_BUDGET_CAP):
     """Exact sup-norm sensitivity by (support, signs, anchor) enumeration.
 
-    Each subproblem fixes a size-s support J, a sign pattern on J, and an
-    anchor coordinate forced to 1 (covering |delta|_inf = 1 up to the
-    delta -> -delta symmetry), and minimizes the epigraph of
-    |Psi delta|_inf subject to the cone row.  Raises BudgetExceededError
-    when the enumeration would exceed budget_cap LPs; use
-    kappa_lower_bound then.
+    Each subproblem fixes a size-s support J, a sign pattern sigma on J and
+    an anchor i in J with sigma_i = +1 whose entry is forced to 1, and
+    minimizes the epigraph of |Psi delta|_inf subject to the cone row and
+    |delta|_inf <= 1.  Anchors outside J are never needed: if delta in C_J
+    has |delta|_inf = 1, then delta also lies in C_J' for J' its s largest
+    entries (|delta_J'|_1 >= |delta_J|_1 and |delta_J'c|_1 <= |delta_Jc|_1),
+    and J' holds the anchor; the delta -> -delta symmetry makes its sign
+    +1.  That is C(p, s)*s*2^(s-1) LPs.  Raises BudgetExceededError when
+    they would exceed budget_cap; use kappa_lower_bound then.
     """
     psi = check_gram(psi)
     p = psi.shape[0]
     _check_s(p, s)
-    _check_budget(math.comb(p, s) * (2 ** s) * 2 * p, budget_cap,
+    _check_budget(math.comb(p, s) * s * 2 ** (s - 1), budget_cap,
                   "exact enumeration needs ~{} LPs > cap {}; "
                   "use kappa_lower_bound")
 
     def anchors(J, Jc, sigma):
-        k_j = len(Jc)
-        nv = s + 2 * k_j
-        for anchor in range(p):
+        nv = s + 2 * len(Jc)
+        for pos in np.flatnonzero(sigma > 0):
             lower = np.zeros(nv + 1)
-            upper = np.concatenate([np.ones(nv), [np.inf]])
-            if anchor in J:
-                pos = J.index(anchor)
-                if sigma[pos] < 0:
-                    continue            # anchor at +1 needs sigma=+1 there
-                lower[pos] = 1.0
-            else:
-                pos = Jc.index(anchor)
-                lower[s + pos] = 1.0
-                upper[s + k_j + pos] = 0.0
-            yield {"lower": lower, "upper": upper}
+            lower[pos] = 1.0
+            yield {"lower": lower,
+                   "upper": np.concatenate([np.ones(nv), [np.inf]])}
 
     t0 = time.perf_counter()
     value, cert, cert_J, lp_count = _enumerate_cones(psi, s, anchors)
@@ -183,68 +184,41 @@ def kappa_inf_exact(psi, s, budget_cap=DEFAULT_BUDGET_CAP):
                              wall_time=time.perf_counter() - t0)
 
 
-def _min_linf_on_l1_sphere(psi, s, n_samples=4000, seed=0):
-    """Brute-force min of |Psi delta|_inf over the unit l1 sphere inside the
-    cones, by seeded sampling plus pattern-search polish (upper bound)."""
-    from .core import pattern_search_min, _project_to_cone
-
-    p = psi.shape[0]
-    rng = np.random.default_rng(seed)
-    best = np.inf
-    for J in combinations(range(p), s):
-        mask = np.zeros(p, dtype=bool)
-        mask[list(J)] = True
-
-        def fun(d, _m=mask):
-            d = _project_to_cone(d, _m)
-            l1 = np.sum(np.abs(d))
-            if l1 < 1e-14:
-                return np.inf
-            return float(np.max(np.abs(psi @ (d / l1))))
-
-        starts = [np.eye(p)[j] for j in J]
-        for _ in range(n_samples // math.comb(p, s) + 8):
-            d = rng.standard_normal(p)
-            starts.append(d / np.sum(np.abs(d)))
-        cand = min(starts, key=fun)
-        _, val = pattern_search_min(fun, cand, step0=0.5)
-        best = min(best, val)
-    return float(best)
-
-
-def kappa_one(psi, s, budget_cap=DEFAULT_BUDGET_CAP, promote_p_max=4):
+def kappa_one(psi, s, budget_cap=DEFAULT_BUDGET_CAP):
     """l1 sensitivity via the mass-split LP, one per (support, sign pattern).
 
-    The split-variable representation can in principle admit slack, so the
-    result is labeled a lower bound; for p <= promote_p_max it is
-    cross-checked against a brute-force scan of the unit l1 sphere and
-    promoted to exact when the two agree within 1e-5.
+    With delta_{J^c} = a - b and unit mass 1'(v + a + b) = 1, every unit-l1
+    cone vector is feasible, so the least LP value is a lower bound.  If its
+    optimum has |delta|_1 = 1 (within 1e-9), no index has both a_j and b_j
+    positive, and delta is a unit cone vector attaining the bound: the
+    result is exact, with delta as certificate.  Otherwise it is a lower
+    bound without one.  For p <= ORTHANT_P_MAX each (J, sigma) is split
+    further into the 2^(p-s) sign orthants of J^c (a_j or b_j held at 0),
+    whose optima are all pair-free, so the result there is always exact.
     """
     psi = check_gram(psi)
     p = psi.shape[0]
     _check_s(p, s)
-    _check_budget(math.comb(p, s) * (2 ** s), budget_cap,
+    orthants = p <= ORTHANT_P_MAX
+    _check_budget(math.comb(p, s) * 2 ** (p if orthants else s), budget_cap,
                   "exact enumeration needs ~{} LPs > cap {}; "
                   "use kappa_lower_bound with kappa_q_from_inf")
 
     def unit_mass(J, Jc, sigma):
-        nv = s + 2 * len(Jc)
-        yield {"A_eq": np.concatenate([np.ones(nv), [0.0]])[None, :],
-               "b_eq": [1.0], "lower": np.zeros(nv + 1),
-               "upper": np.concatenate([np.ones(nv), [np.inf]])}
+        k_j = len(Jc)
+        nv = s + 2 * k_j
+        # offset k_j holds b_j at 0 (delta_j >= 0), offset 0 holds a_j
+        for held in product((k_j, 0), repeat=k_j) if orthants else [()]:
+            upper = np.concatenate([np.ones(nv), [np.inf]])
+            upper[[s + off + pos for pos, off in enumerate(held)]] = 0.0
+            yield {"A_eq": np.concatenate([np.ones(nv), [0.0]])[None, :],
+                   "b_eq": [1.0], "lower": np.zeros(nv + 1), "upper": upper}
 
     t0 = time.perf_counter()
-    best, best_cert, best_J, lp_count = _enumerate_cones(psi, s, unit_mass)
-
-    kind = KIND_LOWER_BOUND
-    cert = None
-    cert_J = None
-    if p <= promote_p_max:
-        bf = _min_linf_on_l1_sphere(psi, s)
-        if abs(bf - best) <= 1e-5:
-            kind = KIND_EXACT
-            cert = best_cert
-            cert_J = best_J
+    best, cert, cert_J, lp_count = _enumerate_cones(psi, s, unit_mass)
+    kind = KIND_EXACT
+    if cert is None or abs(np.sum(np.abs(cert)) - 1.0) > 1e-9:
+        kind, cert, cert_J = KIND_LOWER_BOUND, None, None
     return SensitivityResult(value=best, kind=kind, s=s, q=1.0,
                              certificate=cert, certificate_J=cert_J,
                              lp_count=lp_count,
@@ -260,11 +234,11 @@ def kappa_q_from_inf(kappa_inf, s, q):
     return float((2.0 * s) ** (-1.0 / q) * kappa_inf)
 
 
-def kappa_star(psi, s, k, budget_cap=DEFAULT_BUDGET_CAP, exact_p_max=6):
+def kappa_star(psi, s, k, budget_cap=DEFAULT_BUDGET_CAP):
     """Coordinate-wise sensitivity: min |Psi delta|_inf over cone vectors
     with delta_k = 1.
 
-    For p <= exact_p_max the (support, sign) enumeration solves the problem
+    For p <= STAR_EXACT_P_MAX the (support, sign) enumeration solves the problem
     exactly (the anchor pins the scale, so each subproblem is a plain LP
     over unbounded cone variables).  For larger p a single relaxed LP is
     solved over {delta_k = 1, |delta|_inf <= M, sum-split l1 <= 2sM,
@@ -278,7 +252,7 @@ def kappa_star(psi, s, k, budget_cap=DEFAULT_BUDGET_CAP, exact_p_max=6):
         raise ValueError(f"coordinate k must be in [0, {p}), got {k}")
 
     t0 = time.perf_counter()
-    if p <= exact_p_max:
+    if p <= STAR_EXACT_P_MAX:
         _check_budget(math.comb(p, s) * (2 ** s), budget_cap,
                       "~{} LPs > cap {}")
 
@@ -342,8 +316,10 @@ def kappa_lower_bound(psi, s):
     """LP lower bound on kappa_inf(s) for any p.
 
     Relaxes the union of cone sections {|delta|_inf = 1} to
-    {delta_k = +-1, |delta|_inf <= 1, |delta|_1 <= 2s} and minimizes the
-    epigraph of |Psi delta|_inf over the 2p anchor choices.
+    {delta_k = 1, |delta|_inf <= 1, |delta|_1 <= 2s} and minimizes the
+    epigraph of |Psi delta|_inf over the p anchor choices.  The anchor
+    delta_k = -1 is not needed: swapping a and b maps it onto delta_k = +1
+    and leaves the relaxed set and |Psi delta|_inf unchanged.
     """
     psi = check_gram(psi)
     p = psi.shape[0]
@@ -358,24 +334,17 @@ def kappa_lower_bound(psi, s):
     obj = np.zeros(nv)
     obj[-1] = 1.0
     best = np.inf
-    lp_count = 0
     for k in range(p):
-        for sign in (1.0, -1.0):
-            lower = np.zeros(nv)
-            upper = np.concatenate([np.ones(2 * p), [np.inf]])
-            if sign > 0:
-                lower[k] = 1.0
-                upper[p + k] = 0.0
-            else:
-                lower[p + k] = 1.0
-                upper[k] = 0.0
-            sol = solve_lp(LinearProgram(c=obj, A_ub=A, b_ub=b,
-                                         lower=lower, upper=upper))
-            lp_count += 1
-            if sol.status is LpStatus.OPTIMAL and sol.objective_value < best:
-                best = sol.objective_value
+        lower = np.zeros(nv)
+        upper = np.concatenate([np.ones(2 * p), [np.inf]])
+        lower[k] = 1.0
+        upper[p + k] = 0.0
+        sol = solve_lp(LinearProgram(c=obj, A_ub=A, b_ub=b,
+                                     lower=lower, upper=upper))
+        if sol.status is LpStatus.OPTIMAL and sol.objective_value < best:
+            best = sol.objective_value
     return SensitivityResult(value=float(best), kind=KIND_LOWER_BOUND, s=s,
-                             q=np.inf, lp_count=lp_count,
+                             q=np.inf, lp_count=p,
                              wall_time=time.perf_counter() - t0)
 
 

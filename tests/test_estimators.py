@@ -83,6 +83,24 @@ def free_instance(seed, compensated):
     return rescale(masked, 0.1), y, sigma_hat(masked, 0.1).sigma_hat_sq
 
 
+def paired_free_instance():
+    """(Z, y, free-domain config) whose sign-split LP optimum is paired:
+    row and column 0 of G are zero."""
+    rng = np.random.default_rng(50_035)
+    p = int(rng.integers(1, 5))
+    M = rng.standard_normal((p, p))
+    G = (M + M.T) / 2.0
+    G[0, :] = 0.0
+    G[:, 0] = 0.0
+    c = rng.standard_normal(p)
+    mu = rng.random() + 0.01
+    tau = rng.random() * 0.5 * float(np.max(np.abs(c)))
+    d = (abs(np.linalg.eigvalsh(G)[0]) + 1.0) * np.ones(p)
+    Z = np.linalg.cholesky(p * (G + np.diag(d))).T
+    y = p * np.linalg.solve(Z.T, c)
+    return Z, y, SelectorConfig(mu=mu, tau=tau, domain="free", compensation=d)
+
+
 def orthant_min_l1(G, c, mu, tau):
     """Exact free-domain selector value: in the orthant of sign vector
     sigma, |theta|_1 = sigma'theta, so each orthant is the LP
@@ -515,24 +533,16 @@ class TestFreeDomain:
                              compensation=np.zeros(p))
         assert feasibility_check(est.theta, Z, y, chk)[1]
 
-    def test_paired_optimum_not_optimal(self):
+    def test_paired_optimum_falls_back_to_orthants(self):
         """Row and column 0 of G are zero, so theta_0 only buys slack: the
         sign-split LP pairs theta_0+ with theta_0-, and no theta attains
-        its value.  The result must not claim optimality."""
-        rng = np.random.default_rng(50_035)
-        p = int(rng.integers(1, 5))
-        M = rng.standard_normal((p, p))
-        G = (M + M.T) / 2.0
-        G[0, :] = 0.0
-        G[:, 0] = 0.0
-        c = rng.standard_normal(p)
-        mu = rng.random() + 0.01
-        tau = rng.random() * 0.5 * float(np.max(np.abs(c)))
-        d = (abs(np.linalg.eigvalsh(G)[0]) + 1.0) * np.ones(p)
-        Z = np.linalg.cholesky(p * (G + np.diag(d))).T
-        y = p * np.linalg.solve(Z.T, c)
-        est = solve_compensated_mu(Z, y, SelectorConfig(
-            mu=mu, tau=tau, domain="free", compensation=d))
-        assert est.status is not LpStatus.OPTIMAL
-        assert np.array_equal(est.theta, np.zeros(p))
-
+        its value.  The 2^p orthant LPs give the optimum instead."""
+        Z, y, cfg = paired_free_instance()
+        est = solve_compensated_mu(Z, y, cfg)
+        assert est.status is LpStatus.OPTIMAL
+        residual, feasible = feasibility_check(est.theta, Z, y, cfg)
+        assert feasible, residual
+        G, c = selector_gram(Z, y, cfg.compensation)
+        oracle = orthant_min_l1(G, c, cfg.mu, cfg.tau)
+        assert abs(est.l1_norm - oracle) <= 1e-9 * max(1.0, oracle)
+        assert est.fp_rounds == 1 + 2 ** G.shape[0]

@@ -19,6 +19,7 @@ from musel.lp import (DEFAULT_FEAS_TOL, LinearProgram, LpStatus,
                       check_solution, solve_lp)
 
 from conftest import normalized_gram, selector_instance
+from test_estimators import paired_free_instance
 from test_lp import assert_ray
 
 HIGHS_STATUS = {0: LpStatus.OPTIMAL, 2: LpStatus.INFEASIBLE,
@@ -89,6 +90,16 @@ def test_free_domain_split_lps(recorded):
         assert_agrees(lp, sol)
 
 
+def test_free_domain_orthant_lps(recorded):
+    """The split LP of a paired instance and its 2^p orthant fallback."""
+    pairs = recorded(estimators)
+    Z, y, cfg = paired_free_instance()
+    estimators.solve_compensated_mu(Z, y, cfg)
+    assert len(pairs) == 1 + 2 ** Z.shape[1]
+    for lp, sol in pairs:
+        assert_agrees(lp, sol)
+
+
 @pytest.mark.parametrize("kappa", [
     lambda psi: sensitivity.kappa_inf_exact(psi, 2),
     lambda psi: sensitivity.kappa_one(psi, 2),
@@ -98,6 +109,7 @@ def test_cone_lps(recorded, kappa):
     pairs = recorded(sensitivity)
     kappa(normalized_gram(5, 30, 7))
     kappa(normalized_gram(5, 4, 8))          # rank-deficient Gram
+    kappa(normalized_gram(4, 30, 3))         # kappa_one's sign orthants
     assert pairs
     for lp, sol in pairs:
         assert_agrees(lp, sol)

@@ -2,15 +2,19 @@
 chain, certificates, and the bound/CI report functions."""
 
 import math
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 
+from musel import sensitivity
 from musel.core import _project_to_cone, gram, pattern_search_min, coherence, re_constant_bruteforce
-from musel.sensitivity import (BudgetExceededError, c_q, empirical_gram,
-                               in_cone, kappa_inf_exact, kappa_lower_bound,
-                               kappa_one, kappa_q_from_inf, kappa_star,
-                               theorem1_bounds, theorem2_bounds, theorem3_ci)
+from musel.lp import LinearProgram, LpStatus, solve_lp
+from musel.sensitivity import (BudgetExceededError, _enumerate_cones, c_q,
+                               empirical_gram, in_cone, kappa_inf_exact,
+                               kappa_lower_bound, kappa_one, kappa_q_from_inf,
+                               kappa_star, theorem1_bounds, theorem2_bounds,
+                               theorem3_ci)
 
 from conftest import normalized_gram
 
@@ -33,7 +37,6 @@ def grid_kappa_inf_2d(psi, J, resolution=2001):
 def sphere_cone_min(psi, s, q, seed=0, n_starts=40):
     """Pattern-search approximation of kappa_q for the l2/lq sphere (q=2 here);
     an upper bound on the true sensitivity."""
-    from itertools import combinations
     p = psi.shape[0]
     rng = np.random.default_rng(seed)
     best = np.inf
@@ -53,6 +56,79 @@ def sphere_cone_min(psi, s, q, seed=0, n_starts=40):
         cand = min(starts, key=fun)
         _, val = pattern_search_min(fun, cand, step0=0.5)
         best = min(best, val)
+    return best
+
+
+def kappa_inf_all_anchors(psi, s):
+    """kappa_inf by the 2p-anchor enumeration: every coordinate, inside J
+    (with sigma = +1 there) or outside it, is forced to +1 in turn."""
+    p = psi.shape[0]
+
+    def anchors(J, Jc, sigma):
+        k_j = len(Jc)
+        nv = s + 2 * k_j
+        for anchor in range(p):
+            lower = np.zeros(nv + 1)
+            upper = np.concatenate([np.ones(nv), [np.inf]])
+            if anchor in J:
+                pos = J.index(anchor)
+                if sigma[pos] < 0:
+                    continue
+                lower[pos] = 1.0
+            else:
+                pos = Jc.index(anchor)
+                lower[s + pos] = 1.0
+                upper[s + k_j + pos] = 0.0
+            yield {"lower": lower, "upper": upper}
+
+    return _enumerate_cones(psi, s, anchors)[0]
+
+
+def kappa_lower_bound_two_signs(psi, s):
+    """The relaxed lower bound over both anchor signs delta_k = +-1."""
+    p = psi.shape[0]
+    A = np.vstack([np.concatenate([np.ones(2 * p), [0.0]]),
+                   np.hstack([psi, -psi, -np.ones((p, 1))]),
+                   np.hstack([-psi, psi, -np.ones((p, 1))])])
+    b = np.concatenate([[2.0 * s], np.zeros(2 * p)])
+    obj = np.zeros(2 * p + 1)
+    obj[-1] = 1.0
+    best = np.inf
+    for k in range(p):
+        for one, zero in ((k, p + k), (p + k, k)):
+            lower = np.zeros(2 * p + 1)
+            upper = np.concatenate([np.ones(2 * p), [np.inf]])
+            lower[one] = 1.0
+            upper[zero] = 0.0
+            sol = solve_lp(LinearProgram(c=obj, A_ub=A, b_ub=b,
+                                         lower=lower, upper=upper))
+            if sol.status is LpStatus.OPTIMAL:
+                best = min(best, sol.objective_value)
+    return best
+
+
+def kappa_one_orthants(psi, s):
+    """Exact kappa_one: for each support J and sign vector sigma with
+    sigma_0 = +1 (delta -> -delta covers the rest), delta = sigma*x with
+    x >= 0, 1'x = 1 and the cone row 1'x_Jc <= 1'x_J is one LP in (x, t)."""
+    p = psi.shape[0]
+    obj = np.zeros(p + 1)
+    obj[-1] = 1.0
+    best = np.inf
+    for J in combinations(range(p), s):
+        cone = np.ones(p + 1)
+        cone[list(J)] = -1.0
+        cone[-1] = 0.0
+        for signs in product((1.0, -1.0), repeat=p - 1):
+            M = psi * np.array((1.0,) + signs)
+            A = np.vstack([np.hstack([M, -np.ones((p, 1))]),
+                           np.hstack([-M, -np.ones((p, 1))]), cone])
+            sol = solve_lp(LinearProgram(
+                c=obj, A_ub=A, b_ub=np.zeros(2 * p + 1),
+                A_eq=np.concatenate([np.ones(p), [0.0]])[None, :],
+                b_eq=[1.0], lower=np.zeros(p + 1)))
+            if sol.status is LpStatus.OPTIMAL:
+                best = min(best, sol.objective_value)
     return best
 
 
@@ -94,10 +170,22 @@ class TestKappaInf:
         with pytest.raises(BudgetExceededError, match="kappa_lower_bound"):
             kappa_inf_exact(np.eye(40), 3, budget_cap=1000)
 
+    # normalized Grams at p 5-8, s 1-3, and p=8 Grams of a 16-row design at
+    # s=2 (the sensitivity benchmark's kappa_inf input)
+    @pytest.mark.parametrize("p, n, seed, s", [
+        (p, 40, 10 * p + s, s) for p in range(5, 9) for s in (1, 2, 3)
+    ] + [(8, 16, seed, 2) for seed in (1, 2)])
+    def test_matches_all_anchor_enumeration(self, p, n, seed, s):
+        psi = normalized_gram(p, n, seed)
+        r = kappa_inf_exact(psi, s)
+        oracle = kappa_inf_all_anchors(psi, s)
+        assert abs(r.value - oracle) <= 1e-12 * abs(oracle)
+        assert r.lp_count == math.comb(p, s) * s * 2 ** (s - 1)
+
     # (routine, Gram seed, s, scale the certificate is normalized to): all
     # three share one certificate code path, so each must return a vector
-    # that attains its value.  kappa_one carries a certificate only when
-    # promoted to exact, which the seed-8 Gram at s=1 is.
+    # that attains its value.  kappa_one carries a certificate only when its
+    # best optimum is pair-free, which at p <= 4 (sign orthants) it always is.
     @pytest.mark.parametrize("kappa, seed, s, scale", [
         (kappa_inf_exact, 3, 2, lambda d: np.max(np.abs(d))),
         (kappa_one, 8, 1, lambda d: np.sum(np.abs(d))),
@@ -118,7 +206,7 @@ class TestKappaOne:
     def test_identity_s1(self):
         r = kappa_one(np.eye(4), 1)
         assert r.value == pytest.approx(0.5, abs=1e-9)
-        assert r.kind == "exact"          # promoted on p <= 4
+        assert r.kind == "exact"          # p <= 4: sign orthants, pair-free
 
     def test_identity_s2(self):
         r = kappa_one(np.eye(4), 2)
@@ -132,6 +220,26 @@ class TestKappaOne:
         k1 = kappa_one(psi, s)
         kre = re_constant_bruteforce(psi, s, grid_resolution=30)
         assert k1.value >= kre / (4 * s) - 1e-7
+
+    # seed 0 at p=5, s=2 has a paired optimum (a lower bound), seed 3 not
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("p", [4, 5, 6])
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_matches_orthant_oracle(self, p, s, seed):
+        psi = normalized_gram(p, 30, seed)
+        r = kappa_one(psi, s)
+        oracle = kappa_one_orthants(psi, s)
+        if r.kind == "exact":
+            assert abs(r.value - oracle) <= 1e-9 * max(1.0, oracle)
+            assert in_cone(r.certificate, r.certificate_J, tol=1e-9)
+            assert np.sum(np.abs(r.certificate)) == pytest.approx(1.0, abs=1e-9)
+            attained = float(np.max(np.abs(psi @ r.certificate)))
+            assert attained == pytest.approx(r.value, abs=1e-9)
+        else:
+            assert r.kind == "lower_bound" and r.certificate is None
+            assert r.value <= oracle + 1e-9 * max(1.0, oracle)
+        if p <= 4:
+            assert r.kind == "exact"
 
     def test_smaller_support_never_below(self):
         # enumerating |J| = s only is valid: cones nest, so the value is
@@ -179,10 +287,11 @@ class TestKappaStar:
             assert ks >= kinf - 1e-8
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_relaxed_lower_bounds_exact(self, seed):
+    def test_relaxed_lower_bounds_exact(self, seed, monkeypatch):
         psi = normalized_gram(5, 50, 300 + seed)
         exact = kappa_star(psi, 1, 2)
-        relaxed = kappa_star(psi, 1, 2, exact_p_max=4)
+        monkeypatch.setattr(sensitivity, "STAR_EXACT_P_MAX", 4)
+        relaxed = kappa_star(psi, 1, 2)
         assert exact.kind == "exact" and relaxed.kind == "lower_bound"
         assert relaxed.value <= exact.value + 1e-8
 
@@ -199,6 +308,14 @@ class TestKappaLowerBound:
         lb = kappa_lower_bound(psi, 1).value
         exact = kappa_inf_exact(psi, 1).value
         assert lb <= exact + 1e-8
+
+    @pytest.mark.parametrize("p", [6, 60])
+    def test_matches_two_sign_relaxation(self, p):
+        psi = normalized_gram(p, 40, 500 + p)
+        r = kappa_lower_bound(psi, 2)
+        oracle = kappa_lower_bound_two_signs(psi, 2)
+        assert abs(r.value - oracle) <= 1e-12 * abs(oracle)
+        assert r.lp_count == p
 
     def test_nonincreasing_in_s(self):
         psi = normalized_gram(6, 50, 5)
