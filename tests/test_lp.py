@@ -5,8 +5,11 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from musel.estimators import SelectorConfig, build_cmu_lp_direct
 from musel.lp import (LinearProgram, LpStatus, _DualSimplex, check_solution,
                       solve_lp)
+
+from conftest import selector_instance
 
 
 def vertex_enum_oracle(lp, tol=1e-9):
@@ -274,3 +277,109 @@ def test_singular_basis_block_is_repaired():
     assert eng.run(c, lp.b_ub, lo, up) is LpStatus.OPTIMAL
     assert eng.repairs >= 1
     assert lp.c @ eng.x[:n] == pytest.approx(best, abs=1e-9)
+
+
+@pytest.mark.parametrize("lp, max_iters, status", [
+    (LinearProgram(c=[1.0], A_ub=[[-1.0]], b_ub=[-1.0], lower=[0.0]),
+     None, LpStatus.OPTIMAL),
+    (LinearProgram(c=[1.0, 1.0], A_eq=[[1.0, 1.0]], b_eq=[-1.0],
+                   lower=[0.0, 0.0]), None, LpStatus.INFEASIBLE),
+    (LinearProgram(c=[-1.0], A_ub=[[-1.0]], b_ub=[0.0], lower=[0.0]),
+     None, LpStatus.UNBOUNDED),
+    (LinearProgram(c=[-1.0, -1.0], A_ub=[[1.0, 2.0], [3.0, 1.0]],
+                   b_ub=[4.0, 6.0], lower=[0.0, 0.0]),
+     1, LpStatus.ITERATION_LIMIT),
+])
+def test_diagnostics_on_every_status(lp, max_iters, status):
+    sol = solve_lp(lp, max_iters=max_iters)
+    assert sol.status is status
+    assert sol.diagnostics["refactors"] >= 1
+    assert sol.diagnostics["updates"] >= 0
+    assert sol.diagnostics["repairs"] == 0
+
+
+def _dense_state(eng, c, b, lo, up):
+    """x and d of the engine's basis, solved with the full m x m basis."""
+    full = np.hstack([eng.A, np.eye(eng.m)])
+    basic = eng.is_basic
+    d = c - np.linalg.solve(full[:, basic].T, c[basic]) @ full
+    x = np.where(eng.at_upper, np.where(np.isinf(up), 0.0, up),
+                 np.where(np.isinf(lo), 0.0, lo))
+    x[basic] = 0.0
+    x[basic] = np.linalg.solve(full[:, basic], b - full @ x)
+    return x, d
+
+
+def test_block_updates_match_fresh_factor(monkeypatch):
+    """After every in-place update, and after every bound-flip shift, the
+    kept inverse, x and d agree with a fresh factorization.  The LPs mix
+    boxed, one-sided and free variables, so all four block changes occur:
+    a structural or a slack leaves, a structural or a slack enters."""
+    run, update, move = _DualSimplex.run, _DualSimplex._update, _DualSimplex._move
+    data, kinds, moves = {}, set(), []
+
+    def check(eng):
+        if eng.S.size:
+            inv = np.linalg.inv(eng.A[eng.R][:, eng.S])
+            assert np.abs(eng.Kinv - inv).max() <= 1e-10 * np.abs(inv).max()
+        x, d = _dense_state(eng, *data[eng])
+        assert np.abs(eng.x - x).max() <= 1e-10 * max(1.0, np.abs(x).max())
+        assert np.abs(eng.d - d).max() <= 1e-10 * max(1.0, np.abs(d).max())
+
+    def checked_run(self, c, b, lo, up):
+        data[self] = (c, b, lo, up)
+        return run(self, c, b, lo, up)
+
+    def checked_update(self, q, r, *args):
+        done = update(self, q, r, *args)
+        if done:
+            kinds.add(("structural" if r < self.n else "slack") + " leaves, "
+                      + ("structural" if q < self.n else "slack") + " enters")
+            check(self)
+        return done
+
+    def checked_move(self, idx, vals):
+        move(self, idx, vals)
+        moves.append(idx.size)
+        check(self)
+
+    monkeypatch.setattr(_DualSimplex, "run", checked_run)
+    monkeypatch.setattr(_DualSimplex, "_update", checked_update)
+    monkeypatch.setattr(_DualSimplex, "_move", checked_move)
+    rng = np.random.default_rng(0)
+    for _ in range(12):
+        n, m = int(rng.integers(4, 15)), int(rng.integers(3, 15))
+        A = rng.standard_normal((m, n))
+        lp = LinearProgram(c=rng.standard_normal(n), A_ub=A,
+                           b_ub=A @ rng.random(n) + 0.5 * rng.standard_normal(m),
+                           lower=np.where(rng.random(n) < 0.2, -np.inf, 0.0),
+                           upper=np.where(rng.random(n) < 0.5, 3.0, np.inf))
+        solve_lp(lp)
+    assert len(kinds) == 4, kinds
+    assert moves
+
+
+def _dantzig_lp():
+    """The Dantzig selector LP (mu = 0) of an n=40, p=120 design: 240 rows,
+    119 pivots."""
+    _, _, y, Z = selector_instance(1, 40, 120, s=2)
+    return build_cmu_lp_direct(Z, y, SelectorConfig(mu=0.0, tau=0.005))
+
+
+def test_long_solve_bitwise_reproducible():
+    lp = _dantzig_lp()
+    s1, s2 = solve_lp(lp), solve_lp(lp)
+    assert s1.status is LpStatus.OPTIMAL and s1.iterations > 64
+    assert np.array_equal(s1.x, s2.x)
+    assert s1.objective_value == s2.objective_value
+    assert s1.iterations == s2.iterations
+
+
+def test_refactors_follow_the_schedule():
+    """Pivots update the block in place: the factorizations are the first,
+    one per 64 updates, the terminal one and any repairs."""
+    sol = solve_lp(_dantzig_lp())
+    diag = sol.diagnostics
+    assert sol.status is LpStatus.OPTIMAL and sol.iterations > 64
+    assert diag["refactors"] <= 2 + sol.iterations // 64 + diag["repairs"]
+    assert diag["updates"] >= sol.iterations - diag["refactors"]

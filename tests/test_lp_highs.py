@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("scipy")
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
 from musel import estimators, sensitivity
@@ -20,7 +21,7 @@ from musel.lp import (DEFAULT_FEAS_TOL, LinearProgram, LpStatus,
 
 from conftest import normalized_gram, selector_instance
 from test_estimators import paired_free_instance
-from test_lp import assert_ray
+from test_lp import assert_farkas, assert_ray
 
 HIGHS_STATUS = {0: LpStatus.OPTIMAL, 2: LpStatus.INFEASIBLE,
                 3: LpStatus.UNBOUNDED}
@@ -139,3 +140,41 @@ def test_generic_lps_with_free_and_one_sided_bounds(seed):
     if sol.status is LpStatus.UNBOUNDED:
         assert_ray(lp, sol.ray)
         assert check_solution(lp, sol) <= 1e-9     # x is a feasible point
+
+
+@st.composite
+def small_lps(draw):
+    """Dense LPs with m, n <= 8: small integer data, boxed, one-sided and
+    free variables, equality rows, and a repeated row for degeneracy."""
+    n = draw(st.integers(1, 8))
+    m_eq = draw(st.integers(0, 2))
+    m_ub = draw(st.integers(0, 8 - m_eq))
+    ints = st.integers(-3, 3).map(float)
+    A = np.array(draw(st.lists(ints, min_size=(m_ub + m_eq) * n,
+                               max_size=(m_ub + m_eq) * n))).reshape(-1, n)
+    b = np.array(draw(st.lists(ints, min_size=m_ub + m_eq, max_size=m_ub + m_eq)))
+    if m_ub >= 2 and draw(st.booleans()):
+        A[1], b[1] = A[0], b[0]
+    kind = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    lower = np.where(kind <= 1, -1.0, -np.inf)   # boxed, lower only,
+    upper = np.where(kind % 3 == 0, 2.0, np.inf)  # upper only, free
+    c = np.array(draw(st.lists(ints, min_size=n, max_size=n)))
+    return LinearProgram(c=c, A_ub=A[:m_ub] if m_ub else None,
+                         b_ub=b[:m_ub] if m_ub else None,
+                         A_eq=A[m_ub:] if m_eq else None,
+                         b_eq=b[m_ub:] if m_eq else None,
+                         lower=lower, upper=upper)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(small_lps())
+def test_fuzz_against_highs(lp):
+    sol = solve_lp(lp)
+    res = highs(lp)
+    assert sol.status is HIGHS_STATUS[res.status], res.message
+    if sol.status is LpStatus.OPTIMAL:
+        assert abs(sol.objective_value - res.fun) <= 1e-7 * max(1.0, abs(res.fun))
+    elif sol.status is LpStatus.INFEASIBLE:
+        assert_farkas(lp, sol.farkas_y)
+    else:
+        assert_ray(lp, sol.ray)
