@@ -7,6 +7,8 @@ associated threshold calculus, sensitivity bounds, confidence intervals,
 and a Monte Carlo benchmark harness.
 """
 
+import importlib
+
 from .core import (
     ErrorMatrices,
     gram,
@@ -19,23 +21,11 @@ from .lp import LinearProgram, LpSolution, LpStatus, solve_lp
 from .estimators import (
     SelectorConfig,
     Estimate,
-    build_cmu_lp,
-    build_cmu_lp_direct,
     solve_compensated_mu,
     solve_mu_selector,
     solve_dantzig,
     solve_missing_data_cmu,
     feasibility_check,
-    lift_to_pair,
-)
-from .thresholds import (
-    NoiseParams,
-    Thresholds,
-    delta_bar,
-    subgaussian_deltas,
-    b_missing,
-    assemble_thresholds,
-    nu_bound,
 )
 from .missing import (
     MaskedDesign,
@@ -46,20 +36,36 @@ from .missing import (
     sigma_hat,
     sigma_true,
 )
-from .sensitivity import (
-    SensitivityResult,
-    in_cone,
-    kappa_inf_exact,
-    kappa_one,
-    kappa_q_from_inf,
-    kappa_star,
-    kappa_lower_bound,
-    empirical_gram,
-    theorem1_bounds,
-    theorem2_bounds,
-    theorem3_ci,
-)
-from .simulate import SimConfig, RunMetrics, TableRow, run_experiment
+
+# Modules that `musel estimate` never needs load on first use (PEP 562),
+# as do the names exported from them.
+_LAZY = {
+    "thresholds": ("NoiseParams", "Thresholds", "delta_bar",
+                   "subgaussian_deltas", "b_missing", "assemble_thresholds",
+                   "nu_bound"),
+    "sensitivity": ("SensitivityResult", "in_cone", "kappa_inf_exact",
+                    "kappa_one", "kappa_q_from_inf", "kappa_star",
+                    "kappa_lower_bound", "empirical_gram", "theorem1_bounds",
+                    "theorem2_bounds", "theorem3_ci"),
+    "simulate": ("SimConfig", "RunMetrics", "TableRow", "run_experiment"),
+}
+_LAZY_HOME = {name: mod for mod, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _LAZY_HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY_HOME[name]}", __name__),
+                    name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY) | set(_LAZY_HOME))
+
 
 __version__ = "0.1.0"
 
@@ -67,15 +73,10 @@ __all__ = [
     "ErrorMatrices", "gram", "normalize_design", "coherence",
     "re_constant_bruteforce", "error_matrices",
     "LinearProgram", "LpSolution", "LpStatus", "solve_lp",
-    "SelectorConfig", "Estimate", "build_cmu_lp", "build_cmu_lp_direct",
+    "SelectorConfig", "Estimate",
     "solve_compensated_mu", "solve_mu_selector", "solve_dantzig",
-    "solve_missing_data_cmu", "feasibility_check", "lift_to_pair",
-    "NoiseParams", "Thresholds", "delta_bar", "subgaussian_deltas",
-    "b_missing", "assemble_thresholds", "nu_bound",
+    "solve_missing_data_cmu", "feasibility_check",
     "MaskedDesign", "CompensationDiagonal", "apply_mask", "rescale",
     "estimate_pi", "sigma_hat", "sigma_true",
-    "SensitivityResult", "in_cone", "kappa_inf_exact", "kappa_one",
-    "kappa_q_from_inf", "kappa_star", "kappa_lower_bound", "empirical_gram",
-    "theorem1_bounds", "theorem2_bounds", "theorem3_ci",
-    "SimConfig", "RunMetrics", "TableRow", "run_experiment",
+    *_LAZY_HOME,
 ]

@@ -6,8 +6,9 @@ calculus).  Structured results are JSON; tables are CSV.  All writes are
 atomic (temp file + rename), and every subcommand is a pure function of its
 arguments, input files and seed.
 
-Exit codes: 0 ok; 1 malformed CSV; 2 infeasible; 3 iteration limit;
-4 sensitivity budget exceeded; 64 usage error.
+Exit codes: 0 ok; 1 malformed CSV; 2 infeasible; 3 iteration limit (of
+the selector LP or of a sensitivity LP); 4 sensitivity budget exceeded;
+64 usage error.
 """
 
 import json
@@ -22,12 +23,9 @@ from .estimators import (SelectorConfig, solve_compensated_mu, solve_dantzig,
 from .lp import LpStatus
 # unused here, but perfbench/probes.py wraps these names on this module
 from .missing import estimate_pi, rescale, sigma_hat  # noqa: F401
-from .sensitivity import (KIND_LOWER_BOUND, BudgetExceededError,
-                          empirical_gram, kappa_inf_exact, kappa_lower_bound,
-                          kappa_one, kappa_q_from_inf, kappa_star)
-from .simulate import (PRESETS, SimConfig, config_from_preset, rows_to_csv,
-                       rows_to_markdown, run_experiment)
-from .thresholds import NoiseParams, thresholds_for
+
+# simulate, sensitivity and thresholds are imported by the subcommands that
+# use them, so that an estimate request does not load them.
 
 click.UsageError.exit_code = 64
 
@@ -117,6 +115,19 @@ def estimate(design, response, mode, mu_, tau, pi, est_pi, domain, dhat,
     sys.exit(_STATUS_EXIT[est.status])
 
 
+class _PresetChoice(click.Choice):
+    """``click.Choice`` over the simulate presets, read from
+    ``musel.simulate`` only when click needs them (help, parsing)."""
+
+    def __init__(self):
+        self.case_sensitive = True
+
+    @property
+    def choices(self):
+        from .simulate import PRESETS
+        return tuple(sorted(PRESETS))
+
+
 _SIM_KEYS = {"n", "p", "s_list", "theta_value", "noise_sd", "pi_star",
              "delta_list", "tau_rule", "reps", "estimators", "fresh_design",
              "pi_mode", "nonzero_threshold"}
@@ -125,7 +136,7 @@ _SIM_KEYS = {"n", "p", "s_list", "theta_value", "noise_sd", "pi_star",
 @cli.command()
 @click.option("--config", "config_path", type=click.Path(exists=True),
               default=None, help="JSON file with SimConfig overrides.")
-@click.option("--preset", type=click.Choice(sorted(PRESETS)), default=None)
+@click.option("--preset", type=_PresetChoice(), default=None)
 @click.option("--seed", type=int, required=True)
 @click.option("--out", required=True, type=click.Path())
 @click.option("--raw", is_flag=True,
@@ -138,6 +149,9 @@ _SIM_KEYS = {"n", "p", "s_list", "theta_value", "noise_sd", "pi_star",
               help="Worker threads (default: MUSEL_THREADS or cpu count).")
 def simulate(config_path, preset, seed, out, raw, md, fresh_design, workers):
     """Run the Monte Carlo benchmark grid and write the table as CSV."""
+    from .simulate import (SimConfig, config_from_preset, rows_to_csv,
+                           rows_to_markdown, run_experiment)
+
     overrides = {}
     if config_path:
         with open(config_path) as fh:
@@ -174,6 +188,7 @@ def simulate(config_path, preset, seed, out, raw, md, fresh_design, workers):
 def _from_inf(base, s, q):
     """The l_q lower bound (2s)^(-1/q) * kappa_inf that a q = inf result
     implies; no certificate attains it."""
+    from .sensitivity import KIND_LOWER_BOUND, kappa_q_from_inf
     return replace(base, value=kappa_q_from_inf(base.value, s, q), q=q,
                    kind=KIND_LOWER_BOUND, certificate=None,
                    certificate_J=None)
@@ -196,6 +211,10 @@ def _from_inf(base, s, q):
 def sensitivity(gram, s_, q_, empirical, design, dhat, lower, budget, header,
                 out):
     """Compute a cone sensitivity of a Gram matrix."""
+    from .sensitivity import (BudgetExceededError, SensitivityLpError,
+                              empirical_gram, kappa_inf_exact,
+                              kappa_lower_bound, kappa_one, kappa_star)
+
     if empirical:
         if design is None:
             raise click.UsageError("--empirical needs --design")
@@ -223,6 +242,9 @@ def sensitivity(gram, s_, q_, empirical, design, dhat, lower, budget, header,
     except BudgetExceededError as e:
         click.echo(f"error: {e} (pass --lower-bound)", err=True)
         sys.exit(4)
+    except SensitivityLpError as e:
+        click.echo(f"error: {e}", err=True)
+        sys.exit(_STATUS_EXIT[e.status])
     except ValueError as e:
         raise click.UsageError(str(e))
 
@@ -246,6 +268,8 @@ def sensitivity(gram, s_, q_, empirical, design, dhat, lower, budget, header,
 @click.option("--out", type=click.Path(), default=None)
 def thresholds(gamma_xi, gamma_Xi, m2, m4, pi, n_, p_, eps, gamma0, t0, out):
     """Compute the noise deviation thresholds and mu(eps), tau(eps)."""
+    from .thresholds import NoiseParams, thresholds_for
+
     try:
         params = NoiseParams(gamma_xi=gamma_xi, gamma_Xi=gamma_Xi,
                              epsilon=eps, n=n_, p=p_, m2=m2, m4=m4,

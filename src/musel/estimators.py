@@ -107,47 +107,11 @@ def selector_gram(Z, y, compensation=None):
     return gram(Z, d), Z.T @ y / n
 
 
-def build_cmu_lp(Z, y, config):
-    """The pair-form LP over (theta, u) for the nonnegative orthant.
-
-    Variables theta in R+^p and u in R^p; objective sum(theta); 4p rows
-    encoding |c - G theta + u|_inf <= tau and |u|_inf <= mu*sum(theta).
-    Its optimal theta solves the selector problem on R+^p.
-    """
-    if config.domain != "nonneg":
-        raise ValueError("pair LP requires domain='nonneg'; "
-                         "use solve_* for the free domain")
-    G, c = selector_gram(Z, y, config.compensation)
-    p = G.shape[0]
-    eye = np.eye(p)
-    mu_row = np.full((p, p), -config.mu)
-    A = np.vstack([
-        np.hstack([-G, eye]),         # -G theta + u <= tau - c
-        np.hstack([G, -eye]),         # G theta - u <= tau + c
-        np.hstack([mu_row, eye]),     # u - mu*sum(theta) <= 0
-        np.hstack([mu_row, -eye]),    # -u - mu*sum(theta) <= 0
-    ])
-    b = np.concatenate([config.tau - c, config.tau + c, np.zeros(2 * p)])
-    obj = np.concatenate([np.ones(p), np.zeros(p)])
-    lower = np.concatenate([np.zeros(p), np.full(p, -np.inf)])
-    return LinearProgram(c=obj, A_ub=A, b_ub=b, lower=lower)
-
-
-def build_cmu_lp_direct(Z, y, config):
-    """The direct 2p-row LP over theta alone (nonnegative orthant).
-
-    Equivalent in optimal value to the pair LP of build_cmu_lp; this is the
-    form the solvers run.
-    """
-    if config.domain != "nonneg":
-        raise ValueError("direct LP requires domain='nonneg'")
-    G, c = selector_gram(Z, y, config.compensation)
-    return _direct_lp(G, c, config.mu, config.tau)
-
-
 def _direct_lp(G, c, mu, tau):
     """min 1'x over x >= 0 with |c - G x|_inf <= mu*1'x + tau, for a G of
-    any width: the selector LP of both domains."""
+    any width: the selector LP of both domains.  Its feasible x are those
+    of the pair form |c - G x + u|_inf <= tau, |u|_inf <= mu*1'x, with the
+    witness u eliminated, so it needs 2*rows(G) rows and no u."""
     n = G.shape[1]
     A = np.vstack([G - mu, -G - mu])
     b = np.concatenate([tau + c, tau - c])
@@ -309,20 +273,3 @@ def feasibility_check(theta, Z, y, config):
     if config.domain == "nonneg":
         domain_ok = bool(np.min(theta, initial=0.0) >= -config.feas_tol)
     return residual, bool(residual <= config.feas_tol and domain_ok)
-
-
-def lift_to_pair(theta, Z, y, config):
-    """Witness u turning a feasible theta into a pair (theta, u) with
-    |c - G theta + u|_inf <= tau and |u|_inf <= mu*|theta|_1.
-
-    u_i = -N_i where |N_i| <= mu*|theta|_1, else -sign(N_i)*mu*|theta|_1,
-    with N = c - G theta.  Raises if theta is infeasible.
-    """
-    theta = as_vector(theta, "theta")
-    residual, feasible = feasibility_check(theta, Z, y, config)
-    if not feasible:
-        raise ValueError(f"theta is infeasible (residual {residual:.3e})")
-    G, c = selector_gram(Z, y, config.compensation)
-    N = c - G @ theta
-    cap = config.mu * float(np.sum(np.abs(theta)))
-    return np.where(np.abs(N) <= cap, -N, -np.sign(N) * cap)

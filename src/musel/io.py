@@ -22,15 +22,39 @@ class CsvFormatError(ValueError):
 
 
 def read_matrix(path, header=False):
-    """Read a dense matrix from CSV; raises CsvFormatError on bad cells."""
-    rows = []
-    width = None
+    """Read a dense matrix from CSV; raises CsvFormatError on bad cells.
+
+    Blank lines are skipped, but errors count them in the row number.
+    Each row is converted by one ``np.array(fields, dtype=float)``, which
+    parses every string exactly as ``float()`` does; a ragged row, an
+    unparsable cell or a non-finite value sends the file to ``_scan``,
+    which reports the first offense.
+    """
     with open(path, "r") as fh:
         lines = fh.read().splitlines()
     start = 1 if header else 0
-    for i, line in enumerate(lines[start:], start=start + 1):
-        if not line.strip():
-            continue
+    numbered = [(i, line)
+                for i, line in enumerate(lines[start:], start=start + 1)
+                if line.strip()]
+    if not numbered:
+        raise CsvFormatError(path, 1, 1, "empty file")
+    try:
+        # row by row, only one row's field strings are alive at a time
+        M = np.array([np.array(line.split(","), dtype=float)
+                      for _, line in numbered])
+        if np.isfinite(M).all():
+            return M
+    except ValueError:
+        pass
+    return _scan(path, numbered)
+
+
+def _scan(path, numbered):
+    """Convert (line number, line) rows one cell at a time, raising
+    CsvFormatError at the first ragged row or bad cell."""
+    rows = []
+    width = None
+    for i, line in numbered:
         fields = line.split(",")
         if width is None:
             width = len(fields)
@@ -47,8 +71,6 @@ def read_matrix(path, header=False):
                 raise CsvFormatError(path, i, j, f"non-finite value {f.strip()!r}")
             row.append(v)
         rows.append(row)
-    if not rows:
-        raise CsvFormatError(path, 1, 1, "empty file")
     return np.array(rows, dtype=float)
 
 

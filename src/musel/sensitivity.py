@@ -38,6 +38,28 @@ class BudgetExceededError(ValueError):
     """Raised when exact enumeration would exceed the LP budget cap."""
 
 
+class SensitivityLpError(ValueError):
+    """An enumerated LP ended other than OPTIMAL.
+
+    Every such LP is feasible and bounded by construction (see
+    ``_enumerate_cones`` and ``kappa_lower_bound``), so any other status is
+    a solver failure, and skipping the LP could leave a bound that is too
+    high.  Carries the status, the support J and signs sigma (None for
+    ``kappa_lower_bound``) and the anchor coordinate (None for the
+    unit-mass LPs of ``kappa_one``).
+    """
+
+    def __init__(self, status, J, sigma, anchor):
+        self.status = status
+        self.J = J
+        self.sigma = sigma
+        self.anchor = anchor
+        signs = None if sigma is None else tuple(int(v) for v in sigma)
+        super().__init__(f"sensitivity LP (J={J}, sigma={signs}, "
+                         f"anchor={anchor}) ended {status.value}; "
+                         f"its minimum is unknown")
+
+
 @dataclass
 class SensitivityResult:
     """A sensitivity value with provenance.
@@ -109,10 +131,16 @@ def _enumerate_cones(psi, s, programs):
     delta_{J^c} = a - b and t the epigraph of |Psi delta|_inf.  For each
     (J, sigma), in lexicographic order, the block rows
     [Psi_J sigma, Psi_Jc, -Psi_Jc | -1], their negation and the cone row
-    are built once; ``programs(J, Jc, sigma)`` yields the LinearProgram
-    keywords (equality rows, bounds) of each LP to solve over them.
-    Returns (value, certificate, J, lp_count) for the first strictly
-    smallest OPTIMAL value.
+    are built once; ``programs(J, Jc, sigma)`` yields (anchor, keywords):
+    the coordinate the LP pins (or None) and the LinearProgram keywords
+    (equality rows, bounds) of each LP to solve over them.  Returns
+    (value, certificate, J, lp_count) for the first strictly smallest value.
+
+    Every LP of the three callers is feasible and bounded: delta = e_j for
+    an anchor j in J (or any j in J when there is none), plus e_k when the
+    anchor k lies outside J, meets the cone row, the bounds and the unit
+    mass, with t large; and t >= |Psi delta|_inf >= 0 bounds the objective.
+    So an LP that is not OPTIMAL raises SensitivityLpError, never skipped.
     """
     p = psi.shape[0]
     best = np.inf
@@ -135,10 +163,12 @@ def _enumerate_cones(psi, s, programs):
                 np.hstack([-M, -np.ones((p, 1))]),
                 cone,
             ])
-            for rows in programs(J, Jc, sigma):
+            for anchor, rows in programs(J, Jc, sigma):
                 sol = solve_lp(LinearProgram(c=obj, A_ub=A, b_ub=b, **rows))
                 lp_count += 1
-                if sol.status is LpStatus.OPTIMAL and sol.objective_value < best:
+                if sol.status is not LpStatus.OPTIMAL:
+                    raise SensitivityLpError(sol.status, J, sigma, anchor)
+                if sol.objective_value < best:
                     best = sol.objective_value
                     z = sol.x
                     best_cert = _delta_from_parts(p, J, sigma, z[:s],
@@ -173,8 +203,8 @@ def kappa_inf_exact(psi, s, budget_cap=DEFAULT_BUDGET_CAP):
         for pos in np.flatnonzero(sigma > 0):
             lower = np.zeros(nv + 1)
             lower[pos] = 1.0
-            yield {"lower": lower,
-                   "upper": np.concatenate([np.ones(nv), [np.inf]])}
+            yield J[pos], {"lower": lower,
+                           "upper": np.concatenate([np.ones(nv), [np.inf]])}
 
     t0 = time.perf_counter()
     value, cert, cert_J, lp_count = _enumerate_cones(psi, s, anchors)
@@ -211,8 +241,9 @@ def kappa_one(psi, s, budget_cap=DEFAULT_BUDGET_CAP):
         for held in product((k_j, 0), repeat=k_j) if orthants else [()]:
             upper = np.concatenate([np.ones(nv), [np.inf]])
             upper[[s + off + pos for pos, off in enumerate(held)]] = 0.0
-            yield {"A_eq": np.concatenate([np.ones(nv), [0.0]])[None, :],
-                   "b_eq": [1.0], "lower": np.zeros(nv + 1), "upper": upper}
+            yield None, {"A_eq": np.concatenate([np.ones(nv), [0.0]])[None, :],
+                         "b_eq": [1.0], "lower": np.zeros(nv + 1),
+                         "upper": upper}
 
     t0 = time.perf_counter()
     best, cert, cert_J, lp_count = _enumerate_cones(psi, s, unit_mass)
@@ -267,8 +298,8 @@ def kappa_star(psi, s, k, budget_cap=DEFAULT_BUDGET_CAP):
                 pos = Jc.index(k)
                 anchor[s + pos] = 1.0
                 anchor[s + k_j + pos] = -1.0
-            yield {"A_eq": anchor[None, :], "b_eq": [1.0],
-                   "lower": np.zeros_like(anchor)}
+            yield k, {"A_eq": anchor[None, :], "b_eq": [1.0],
+                      "lower": np.zeros_like(anchor)}
 
         value, cert, cert_J, lp_count = _enumerate_cones(psi, s, anchored)
         return SensitivityResult(value=value, kind=KIND_EXACT, s=s, coord=k,
@@ -319,7 +350,9 @@ def kappa_lower_bound(psi, s):
     {delta_k = 1, |delta|_inf <= 1, |delta|_1 <= 2s} and minimizes the
     epigraph of |Psi delta|_inf over the p anchor choices.  The anchor
     delta_k = -1 is not needed: swapping a and b maps it onto delta_k = +1
-    and leaves the relaxed set and |Psi delta|_inf unchanged.
+    and leaves the relaxed set and |Psi delta|_inf unchanged.  Each anchor
+    LP is feasible (delta = e_k, as 1 <= 2s) and bounded (t >= 0), so one
+    that is not OPTIMAL raises SensitivityLpError.
     """
     psi = check_gram(psi)
     p = psi.shape[0]
@@ -341,8 +374,9 @@ def kappa_lower_bound(psi, s):
         upper[p + k] = 0.0
         sol = solve_lp(LinearProgram(c=obj, A_ub=A, b_ub=b,
                                      lower=lower, upper=upper))
-        if sol.status is LpStatus.OPTIMAL and sol.objective_value < best:
-            best = sol.objective_value
+        if sol.status is not LpStatus.OPTIMAL:
+            raise SensitivityLpError(sol.status, None, None, k)
+        best = min(best, sol.objective_value)
     return SensitivityResult(value=float(best), kind=KIND_LOWER_BOUND, s=s,
                              q=np.inf, lp_count=p,
                              wall_time=time.perf_counter() - t0)

@@ -29,3 +29,25 @@ def selector_instance(seed, n, p, s=1, pi=0.1, noise_sd=0.05 / 1.96,
     eta = (rng.random((n, p)) >= pi).astype(float)
     Z_tilde = X * eta
     return X, theta, y, Z_tilde
+
+
+@pytest.fixture
+def third_lp_stops(monkeypatch):
+    """Make the third LP that musel.sensitivity solves end at its iteration
+    limit; returns the list of LPs solved so far."""
+    from dataclasses import replace
+
+    from musel import sensitivity
+    from musel.lp import LpStatus
+
+    real, solved = sensitivity.solve_lp, []
+
+    def solve(lp, *args, **kwargs):
+        sol = real(lp, *args, **kwargs)
+        solved.append(lp)
+        if len(solved) == 3:
+            return replace(sol, status=LpStatus.ITERATION_LIMIT)
+        return sol
+
+    monkeypatch.setattr(sensitivity, "solve_lp", solve)
+    return solved

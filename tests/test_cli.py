@@ -64,6 +64,97 @@ class TestIoRoundTrip:
         path.write_text("1,2,3\n")
         assert np.array_equal(read_vector(path), [1.0, 2.0, 3.0])
 
+    @staticmethod
+    def _offense(path, **kw):
+        with pytest.raises(CsvFormatError) as e:
+            read_matrix(path, **kw)
+        return e.value.row, e.value.col, str(e.value)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", " NaN", "1e999"])
+    def test_non_finite_cell_reported(self, tmp_path, cell):
+        path = tmp_path / "nf.csv"
+        path.write_text(f"1,2,3\n4,5,6\n7,{cell},9\n")
+        assert self._offense(path) == (
+            3, 2, f"{path}: row 3, column 2: non-finite value {cell.strip()!r}")
+
+    def test_blank_lines_skipped_but_counted(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("\n1,2\n   \n\t\n3,4\n\n")
+        M = read_matrix(path)
+        assert M.tobytes() == np.array([[1.0, 2.0], [3.0, 4.0]]).tobytes()
+        path.write_text("\n1,2\n   \n\t\n3,x\n")
+        assert self._offense(path) == (
+            5, 2, f"{path}: row 5, column 2: not a number: 'x'")
+        path.write_text("1,2\n\n3\n")
+        assert self._offense(path) == (
+            3, 2, f"{path}: row 3, column 2: expected 2 fields, got 1")
+
+    def test_header_empty_and_header_only(self, tmp_path, runner, data_dir):
+        path = tmp_path / "h.csv"
+        path.write_text("a,b,c\n1,2,3\n")
+        assert read_matrix(path, header=True).tobytes() == \
+            np.array([[1.0, 2.0, 3.0]]).tobytes()
+        assert self._offense(path) == (
+            1, 1, f"{path}: row 1, column 1: not a number: 'a'")
+        path.write_text("x,y\n\n1,oops\n")
+        assert self._offense(path, header=True)[:2] == (3, 2)
+        for text, header in (("", False), ("\n \n", False), ("", True),
+                             ("a,b\n", True), ("a,b\n\n", True)):
+            path.write_text(text)
+            assert self._offense(path, header=header) == (
+                1, 1, f"{path}: row 1, column 1: empty file")
+        # --header skips the first line of every CSV the command reads
+        for name in ("Z", "y"):
+            body = (data_dir / f"{name}.csv").read_text()
+            (tmp_path / f"{name}h.csv").write_text("col,names\n" + body)
+        outs = []
+        for folder, suffix, extra in ((data_dir, "", []),
+                                      (tmp_path, "h", ["--header"])):
+            r = runner.invoke(cli, ["estimate",
+                                    "--design", str(folder / f"Z{suffix}.csv"),
+                                    "--response", str(folder / f"y{suffix}.csv"),
+                                    "--mode", "dantzig", "--tau", "0.05",
+                                    *extra])
+            assert r.exit_code == 0, r.output
+            outs.append(r.output)
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("cell", [" 1.5", "1.5 ", "1_0", "١٢",
+                                      "+.5e-3", "1e-400", "4.9e-324", "0x10"])
+    def test_cells_parse_as_float(self, tmp_path, cell):
+        path = tmp_path / "cells.csv"
+        path.write_text(f"0,{cell}\n")
+        try:
+            expected = float(cell)
+        except ValueError:
+            assert self._offense(path) == (
+                1, 2, f"{path}: row 1, column 2: not a number: {cell.strip()!r}")
+            return
+        assert read_matrix(path).tobytes() == np.array([[0.0, expected]]).tobytes()
+
+    def test_earliest_offense_reported(self, tmp_path):
+        path = tmp_path / "two.csv"
+        path.write_text("1,2,3\n4,bad,6\n7,8\n9,inf,1\n")
+        assert self._offense(path) == (
+            2, 2, f"{path}: row 2, column 2: not a number: 'bad'")
+        path.write_text("1,2,3\n4,5\n7,bad,9\n")
+        assert self._offense(path) == (
+            2, 3, f"{path}: row 2, column 3: expected 3 fields, got 2")
+        path.write_text("1,2,3\n4,nan,bad\n")
+        assert self._offense(path)[:2] == (2, 2)
+
+    def test_round_trip_bitwise_on_extremes(self, tmp_path):
+        rng = np.random.default_rng(20_111)
+        tiny = np.finfo(float).smallest_subnormal
+        specials = np.array([0.0, -0.0, tiny, -tiny, 3 * tiny,
+                             np.finfo(float).tiny / 3, 1.7976931348623157e308,
+                             -1.7976931348623157e308])
+        M = rng.standard_normal((7, 9)) * 1e-7
+        M.flat[rng.choice(M.size, specials.size, replace=False)] = specials
+        path = tmp_path / "x.csv"
+        write_matrix(path, M)
+        assert read_matrix(path).tobytes() == M.tobytes()
+
 
 class TestEstimate:
     def test_mu_mode_round_trip(self, runner, data_dir):
@@ -209,6 +300,16 @@ class TestSimulate:
         assert r.exit_code == 64
         assert "bogus_key" in r.output
 
+    def test_preset_choices(self, runner, tmp_path):
+        from musel.simulate import PRESETS
+        r = runner.invoke(cli, ["simulate", "--help"])
+        assert r.exit_code == 0
+        assert f"[{'|'.join(sorted(PRESETS))}]" in r.output
+        r = runner.invoke(cli, ["simulate", "--preset", "table9", "--seed", "1",
+                                "--out", str(tmp_path / "x.csv")])
+        assert r.exit_code == 64
+        assert "'table9' is not one of 'reduced', 'table1'" in r.output
+
     def test_seed_required(self, runner, tmp_path):
         r = runner.invoke(cli, ["simulate", "--out", str(tmp_path / "x.csv")])
         assert r.exit_code == 64
@@ -266,6 +367,19 @@ class TestSensitivity:
                                 "--q", "inf", "--budget", "1000"])
         assert r.exit_code == 4
         assert "--lower-bound" in r.output
+
+    @pytest.mark.parametrize("extra, anchor", [([], 0), (["--lower-bound"], 2)])
+    def test_failed_lp_exit_3(self, runner, tmp_path, third_lp_stops, extra,
+                              anchor):
+        from conftest import normalized_gram
+        write_matrix(tmp_path / "g.csv", normalized_gram(4, 30, 3))
+        out = tmp_path / "s.json"
+        r = runner.invoke(cli, ["sensitivity", "--gram", str(tmp_path / "g.csv"),
+                                "--s", "2", "--q", "inf", "--out", str(out),
+                                *extra])
+        assert r.exit_code == 3, r.output
+        assert f"anchor={anchor}) ended iteration_limit" in r.output
+        assert not out.exists()
 
     def test_lower_bound_path(self, runner, tmp_path, rng):
         X = rng.standard_normal((40, 30))

@@ -8,15 +8,15 @@ import numpy as np
 import pytest
 
 from musel import estimators
-from musel.estimators import (SelectorConfig, build_cmu_lp,
-                              build_cmu_lp_direct, feasibility_check,
-                              lift_to_pair, selector_gram,
-                              solve_compensated_mu, solve_dantzig,
-                              solve_missing_data_cmu, solve_mu_selector)
+from musel.estimators import (SelectorConfig, feasibility_check,
+                              selector_gram, solve_compensated_mu,
+                              solve_dantzig, solve_missing_data_cmu,
+                              solve_mu_selector)
 from musel.lp import LinearProgram, LpStatus, solve_lp
 from musel.missing import MaskedDesign, estimate_pi, rescale, sigma_hat
 
 from conftest import selector_instance
+from pair_lp import build_cmu_lp, build_cmu_lp_direct, lift_to_pair
 
 
 def grid_min_l1(G, c, mu, tau, radius, center, base_res=15, local_res=11,

@@ -5,11 +5,12 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from musel.estimators import SelectorConfig, build_cmu_lp_direct
+from musel.estimators import SelectorConfig
 from musel.lp import (LinearProgram, LpStatus, _DualSimplex, check_solution,
                       solve_lp)
 
 from conftest import selector_instance
+from pair_lp import build_cmu_lp_direct
 
 
 def vertex_enum_oracle(lp, tol=1e-9):

@@ -79,7 +79,7 @@ def kappa_inf_all_anchors(psi, s):
                 pos = Jc.index(anchor)
                 lower[s + pos] = 1.0
                 upper[s + k_j + pos] = 0.0
-            yield {"lower": lower, "upper": upper}
+            yield anchor, {"lower": lower, "upper": upper}
 
     return _enumerate_cones(psi, s, anchors)[0]
 
@@ -439,3 +439,31 @@ def test_interpolation_inequality(rng):
         l1 = np.sum(np.abs(d))
         l2 = np.sqrt(np.sum(d ** 2))
         assert lq <= l1 ** (2 - q) * l2 ** (2 * (q - 1)) * (1 + 1e-10)
+
+
+class TestFailedLp:
+    """An enumerated LP that is not OPTIMAL stops the enumeration: skipping
+    it could leave a minimum that is too high."""
+
+    def test_kappa_inf_exact_raises(self, third_lp_stops):
+        psi = normalized_gram(4, 30, 3)
+        with pytest.raises(sensitivity.SensitivityLpError) as e:
+            kappa_inf_exact(psi, 2)
+        # J = (0, 1): sigma (+, +) anchors 0 and 1, then sigma (+, -) anchor 0
+        err = e.value
+        assert (err.status, err.J, tuple(err.sigma), err.anchor) == (
+            LpStatus.ITERATION_LIMIT, (0, 1), (1.0, -1.0), 0)
+        assert str(err) == ("sensitivity LP (J=(0, 1), sigma=(1, -1), "
+                            "anchor=0) ended iteration_limit; "
+                            "its minimum is unknown")
+        assert len(third_lp_stops) == 3
+
+    def test_kappa_lower_bound_raises(self, third_lp_stops):
+        psi = normalized_gram(4, 30, 3)
+        with pytest.raises(sensitivity.SensitivityLpError) as e:
+            kappa_lower_bound(psi, 2)
+        err = e.value
+        assert (err.status, err.J, err.sigma, err.anchor) == (
+            LpStatus.ITERATION_LIMIT, None, None, 2)
+        assert "ended iteration_limit" in str(err)
+        assert len(third_lp_stops) == 3
