@@ -8,8 +8,10 @@ at |J| = s, so only size-s supports are enumerated.
 Exact values come from enumerating (support, sign pattern) pairs and
 solving a few small LPs per pair.  The delta -> -delta symmetry and the
 fact that a cone vector lies in the cone of its own s largest entries
-leave s*2^(s-1) anchor LPs per support for kappa_inf; kappa_one is exact
-when its best LP optimum is a genuine unit-l1 vector, which it certifies.
+leave s*2^(s-1) anchor LPs per support for kappa_inf, and a relaxation LP
+per anchor bounds them all, so only the anchors whose bound can still win
+are enumerated; kappa_one is exact when its best LP optimum is a genuine
+unit-l1 vector, which it certifies.
 A budget cap guards the combinatorial blow-up; past it, kappa_lower_bound
 provides a valid linear-programming lower bound for any p.
 """
@@ -42,11 +44,11 @@ class SensitivityLpError(ValueError):
     """An enumerated LP ended other than OPTIMAL.
 
     Every such LP is feasible and bounded by construction (see
-    ``_enumerate_cones`` and ``kappa_lower_bound``), so any other status is
+    ``_enumerate_cones`` and ``_anchor_bounds``), so any other status is
     a solver failure, and skipping the LP could leave a bound that is too
-    high.  Carries the status, the support J and signs sigma (None for
-    ``kappa_lower_bound``) and the anchor coordinate (None for the
-    unit-mass LPs of ``kappa_one``).
+    high.  Carries the status, the support J and signs sigma (None for the
+    anchor relaxations of ``_anchor_bounds``) and the anchor coordinate
+    (None for the unit-mass LPs of ``kappa_one``).
     """
 
     def __init__(self, status, J, sigma, anchor):
@@ -68,6 +70,8 @@ class SensitivityResult:
     index (float, with inf for the sup norm) or None for coordinate-wise
     results, which carry the coordinate in ``coord``.  certificate (and its
     support J) is attached only when it provably attains the value.
+    lp_count is the number of LPs solved, for kappa_inf_exact its anchor
+    relaxations included.
     """
 
     value: float
@@ -124,17 +128,20 @@ def _check_budget(planned, budget_cap, message):
         raise BudgetExceededError(message.format(planned, budget_cap))
 
 
-def _enumerate_cones(psi, s, programs):
-    """Minimize over the cone LPs of every size-s support J and sign pattern.
+def _enumerate_cones(psi, s, programs, supports=None):
+    """Minimize over the cone LPs of size-s supports J and sign patterns.
 
     Variables are z = [v (s), a (p-s), b (p-s), t] with delta_J = sigma*v,
-    delta_{J^c} = a - b and t the epigraph of |Psi delta|_inf.  For each
-    (J, sigma), in lexicographic order, the block rows
-    [Psi_J sigma, Psi_Jc, -Psi_Jc | -1], their negation and the cone row
-    are built once; ``programs(J, Jc, sigma)`` yields (anchor, keywords):
-    the coordinate the LP pins (or None) and the LinearProgram keywords
-    (equality rows, bounds) of each LP to solve over them.  Returns
-    (value, certificate, J, lp_count) for the first strictly smallest value.
+    delta_{J^c} = a - b and t the epigraph of |Psi delta|_inf.  J runs over
+    ``supports`` (default: every size-s support), which must be in
+    lexicographic order.  For each (J, sigma), in that order with sigma
+    from all +1 to all -1, ``programs(J, Jc, sigma)`` yields
+    (anchor, keywords): the coordinate the LP pins (or None) and the
+    LinearProgram keywords (equality rows, bounds) of each LP to solve over
+    the block rows [Psi_J sigma, Psi_Jc, -Psi_Jc | -1], their negation and
+    the cone row.  The block is built once per (J, sigma), and only if
+    ``programs`` yields an LP for it.  Returns (value, certificate, J,
+    sigma, lp_count) for the first strictly smallest value.
 
     Every LP of the three callers is feasible and bounded: delta = e_j for
     an anchor j in J (or any j in J when there is none), plus e_k when the
@@ -143,27 +150,26 @@ def _enumerate_cones(psi, s, programs):
     So an LP that is not OPTIMAL raises SensitivityLpError, never skipped.
     """
     p = psi.shape[0]
+    k_j = p - s
+    obj = np.zeros(s + 2 * k_j + 1)
+    obj[-1] = 1.0
+    b = np.zeros(2 * p + 1)
+    cone = np.concatenate([-np.ones(s), np.ones(2 * k_j), [0.0]])
     best = np.inf
-    best_cert = None
-    best_J = None
+    best_cert = best_J = best_sigma = None
     lp_count = 0
-    for J in combinations(range(p), s):
-        Jc = [j for j in range(p) if j not in set(J)]
-        k_j = len(Jc)
-        nv = s + 2 * k_j
-        obj = np.zeros(nv + 1)
-        obj[-1] = 1.0
-        b = np.zeros(2 * p + 1)
+    for J in combinations(range(p), s) if supports is None else supports:
+        Jc = [j for j in range(p) if j not in J]
         for sigma in product((1.0, -1.0), repeat=s):
             sigma = np.array(sigma)
-            M = np.hstack([psi[:, list(J)] * sigma, psi[:, Jc], -psi[:, Jc]])
-            cone = np.concatenate([-np.ones(s), np.ones(2 * k_j), [0.0]])
-            A = np.vstack([
-                np.hstack([M, -np.ones((p, 1))]),
-                np.hstack([-M, -np.ones((p, 1))]),
-                cone,
-            ])
+            A = None
             for anchor, rows in programs(J, Jc, sigma):
+                if A is None:
+                    M = np.hstack([psi[:, list(J)] * sigma, psi[:, Jc],
+                                   -psi[:, Jc]])
+                    A = np.vstack([np.hstack([M, -np.ones((p, 1))]),
+                                   np.hstack([-M, -np.ones((p, 1))]),
+                                   cone])
                 sol = solve_lp(LinearProgram(c=obj, A_ub=A, b_ub=b, **rows))
                 lp_count += 1
                 if sol.status is not LpStatus.OPTIMAL:
@@ -174,40 +180,77 @@ def _enumerate_cones(psi, s, programs):
                     best_cert = _delta_from_parts(p, J, sigma, z[:s],
                                                   z[s:s + k_j],
                                                   z[s + k_j:s + 2 * k_j])
-                    best_J = J
-    return float(best), best_cert, best_J, lp_count
+                    best_J, best_sigma = J, sigma
+    return float(best), best_cert, best_J, best_sigma, lp_count
 
 
 def kappa_inf_exact(psi, s, budget_cap=DEFAULT_BUDGET_CAP):
     """Exact sup-norm sensitivity by (support, signs, anchor) enumeration.
 
-    Each subproblem fixes a size-s support J, a sign pattern sigma on J and
-    an anchor i in J with sigma_i = +1 whose entry is forced to 1, and
+    Each cone LP fixes a size-s support J, a sign pattern sigma on J and
+    an anchor k in J with sigma_k = +1 whose entry is forced to 1, and
     minimizes the epigraph of |Psi delta|_inf subject to the cone row and
     |delta|_inf <= 1.  Anchors outside J are never needed: if delta in C_J
     has |delta|_inf = 1, then delta also lies in C_J' for J' its s largest
     entries (|delta_J'|_1 >= |delta_J|_1 and |delta_J'c|_1 <= |delta_Jc|_1),
     and J' holds the anchor; the delta -> -delta symmetry makes its sign
-    +1.  That is C(p, s)*s*2^(s-1) LPs.  Raises BudgetExceededError when
-    they would exceed budget_cap; use kappa_lower_bound then.
+    +1.  That is C(p, s)*s*2^(s-1) cone LPs.
+
+    For s >= 2 a bound pass first solves the p relaxation LPs of
+    ``_anchor_bounds``.  Every feasible delta of a cone LP of anchor k has
+    delta_k = 1, |delta|_inf <= 1 and |delta|_1 <= 2|delta_J|_1 <= 2s, so it
+    is feasible for anchor k's relaxation, whose value b_k is therefore at
+    most every cone LP value of anchor k.  The anchors are then visited in
+    stable ascending order of b_k, each with all of its cone LPs, up to the
+    first anchor with b_k > best + 1e-7*(1 + |best|): no later anchor can
+    hold the minimum.  At s = 1 the relaxation of anchor k has the same
+    feasible set as its one cone LP (the cone row gives 1'(a + b) <= 1), so
+    the bound pass would only repeat the enumeration and is skipped.
+
+    Of equal values the one first in the lexicographic order of (J, sigma,
+    anchor) wins, sigma ordered +1 before -1: the first strictly smallest
+    of the full enumeration, whatever order the anchors are visited in.
+    At most C(p, s)*s*2^(s-1) + p LPs (p fewer at s = 1); raises
+    BudgetExceededError when they would exceed budget_cap, and
+    SensitivityLpError when one ends other than OPTIMAL.  Use
+    kappa_lower_bound past the cap.
     """
     psi = check_gram(psi)
     p = psi.shape[0]
     _check_s(p, s)
-    _check_budget(math.comb(p, s) * s * 2 ** (s - 1), budget_cap,
-                  "exact enumeration needs ~{} LPs > cap {}; "
+    _check_budget(math.comb(p, s) * s * 2 ** (s - 1) + (p if s > 1 else 0),
+                  budget_cap, "exact enumeration needs ~{} LPs > cap {}; "
                   "use kappa_lower_bound")
+    upper = np.concatenate([np.ones(s + 2 * (p - s)), [np.inf]])
 
-    def anchors(J, Jc, sigma):
-        nv = s + 2 * len(Jc)
-        for pos in np.flatnonzero(sigma > 0):
-            lower = np.zeros(nv + 1)
-            lower[pos] = 1.0
-            yield J[pos], {"lower": lower,
-                           "upper": np.concatenate([np.ones(nv), [np.inf]])}
+    def cone_lps(anchors):
+        def programs(J, Jc, sigma):
+            for pos, k in enumerate(J):
+                if sigma[pos] > 0 and k in anchors:
+                    lower = np.zeros_like(upper)
+                    lower[pos] = 1.0
+                    yield k, {"lower": lower, "upper": upper}
+        return programs
 
     t0 = time.perf_counter()
-    value, cert, cert_J, lp_count = _enumerate_cones(psi, s, anchors)
+    if s == 1:
+        value, cert, cert_J, _, lp_count = _enumerate_cones(
+            psi, s, cone_lps(range(p)))
+    else:
+        bounds = _anchor_bounds(psi, s)
+        lp_count = p
+        best, cert = (np.inf,), None
+        for k in np.argsort(bounds, kind="stable").tolist():
+            if bounds[k] > best[0] + 1e-7 * (1.0 + abs(best[0])):
+                break
+            value, z, J, sigma, n = _enumerate_cones(
+                psi, s, cone_lps((k,)),
+                [J for J in combinations(range(p), s) if k in J])
+            lp_count += n
+            key = (value, J, tuple(-sigma), k)
+            if key < best:
+                best, cert = key, z
+        value, cert_J = best[:2]
     return SensitivityResult(value=value, kind=KIND_EXACT, s=s, q=np.inf,
                              certificate=cert, certificate_J=cert_J,
                              lp_count=lp_count,
@@ -246,7 +289,7 @@ def kappa_one(psi, s, budget_cap=DEFAULT_BUDGET_CAP):
                          "upper": upper}
 
     t0 = time.perf_counter()
-    best, cert, cert_J, lp_count = _enumerate_cones(psi, s, unit_mass)
+    best, cert, cert_J, _, lp_count = _enumerate_cones(psi, s, unit_mass)
     kind = KIND_EXACT
     if cert is None or abs(np.sum(np.abs(cert)) - 1.0) > 1e-9:
         kind, cert, cert_J = KIND_LOWER_BOUND, None, None
@@ -301,7 +344,7 @@ def kappa_star(psi, s, k, budget_cap=DEFAULT_BUDGET_CAP):
             yield k, {"A_eq": anchor[None, :], "b_eq": [1.0],
                       "lower": np.zeros_like(anchor)}
 
-        value, cert, cert_J, lp_count = _enumerate_cones(psi, s, anchored)
+        value, cert, cert_J, _, lp_count = _enumerate_cones(psi, s, anchored)
         return SensitivityResult(value=value, kind=KIND_EXACT, s=s, coord=k,
                                  certificate=cert, certificate_J=cert_J,
                                  lp_count=lp_count,
@@ -343,21 +386,16 @@ def kappa_star(psi, s, k, budget_cap=DEFAULT_BUDGET_CAP):
                              wall_time=time.perf_counter() - t0)
 
 
-def kappa_lower_bound(psi, s):
-    """LP lower bound on kappa_inf(s) for any p.
+def _anchor_bounds(psi, s):
+    """Values b_k of the relaxation LPs of the p anchors k, in order.
 
-    Relaxes the union of cone sections {|delta|_inf = 1} to
-    {delta_k = 1, |delta|_inf <= 1, |delta|_1 <= 2s} and minimizes the
-    epigraph of |Psi delta|_inf over the p anchor choices.  The anchor
-    delta_k = -1 is not needed: swapping a and b maps it onto delta_k = +1
-    and leaves the relaxed set and |Psi delta|_inf unchanged.  Each anchor
-    LP is feasible (delta = e_k, as 1 <= 2s) and bounded (t >= 0), so one
-    that is not OPTIMAL raises SensitivityLpError.
+    The LP of anchor k minimizes the epigraph t of |Psi delta|_inf over
+    {delta_k = 1, |delta|_inf <= 1, |delta|_1 <= 2s}, with delta = a - b,
+    a, b in [0, 1] and b_k held at 0.  It is feasible (delta = e_k, as
+    1 <= 2s) and bounded (t >= 0), so one that is not OPTIMAL raises
+    SensitivityLpError(status, None, None, k).
     """
-    psi = check_gram(psi)
     p = psi.shape[0]
-    _check_s(p, s)
-    t0 = time.perf_counter()
     nv = 2 * p + 1                           # a, b, t
     l1row = np.concatenate([np.ones(2 * p), [0.0]])
     Mpsi = np.hstack([psi, -psi, -np.ones((p, 1))])
@@ -366,7 +404,7 @@ def kappa_lower_bound(psi, s):
     b = np.concatenate([[2.0 * s], np.zeros(2 * p)])
     obj = np.zeros(nv)
     obj[-1] = 1.0
-    best = np.inf
+    bounds = np.empty(p)
     for k in range(p):
         lower = np.zeros(nv)
         upper = np.concatenate([np.ones(2 * p), [np.inf]])
@@ -376,7 +414,24 @@ def kappa_lower_bound(psi, s):
                                      lower=lower, upper=upper))
         if sol.status is not LpStatus.OPTIMAL:
             raise SensitivityLpError(sol.status, None, None, k)
-        best = min(best, sol.objective_value)
+        bounds[k] = sol.objective_value
+    return bounds
+
+
+def kappa_lower_bound(psi, s):
+    """LP lower bound on kappa_inf(s) for any p.
+
+    Relaxes the union of cone sections {|delta|_inf = 1} to
+    {delta_k = 1, |delta|_inf <= 1, |delta|_1 <= 2s} and minimizes the
+    epigraph of |Psi delta|_inf over the p anchor choices (``_anchor_bounds``).
+    The anchor delta_k = -1 is not needed: swapping a and b maps it onto
+    delta_k = +1 and leaves the relaxed set and |Psi delta|_inf unchanged.
+    """
+    psi = check_gram(psi)
+    p = psi.shape[0]
+    _check_s(p, s)
+    t0 = time.perf_counter()
+    best = min(_anchor_bounds(psi, s))
     return SensitivityResult(value=float(best), kind=KIND_LOWER_BOUND, s=s,
                              q=np.inf, lp_count=p,
                              wall_time=time.perf_counter() - t0)

@@ -32,22 +32,31 @@ def selector_instance(seed, n, p, s=1, pi=0.1, noise_sd=0.05 / 1.96,
 
 
 @pytest.fixture
-def third_lp_stops(monkeypatch):
-    """Make the third LP that musel.sensitivity solves end at its iteration
-    limit; returns the list of LPs solved so far."""
+def lp_stops(monkeypatch):
+    """lp_stops(n) makes the n-th LP that musel.sensitivity solves end at its
+    iteration limit (none for n = 0); returns the list of LPs solved so far."""
     from dataclasses import replace
 
     from musel import sensitivity
     from musel.lp import LpStatus
 
-    real, solved = sensitivity.solve_lp, []
+    def install(n):
+        real, solved = sensitivity.solve_lp, []
 
-    def solve(lp, *args, **kwargs):
-        sol = real(lp, *args, **kwargs)
-        solved.append(lp)
-        if len(solved) == 3:
-            return replace(sol, status=LpStatus.ITERATION_LIMIT)
-        return sol
+        def solve(lp, *args, **kwargs):
+            sol = real(lp, *args, **kwargs)
+            solved.append(lp)
+            if len(solved) == n:
+                return replace(sol, status=LpStatus.ITERATION_LIMIT)
+            return sol
 
-    monkeypatch.setattr(sensitivity, "solve_lp", solve)
-    return solved
+        monkeypatch.setattr(sensitivity, "solve_lp", solve)
+        return solved
+    return install
+
+
+@pytest.fixture
+def third_lp_stops(lp_stops):
+    """Make the third LP that musel.sensitivity solves end at its iteration
+    limit; returns the list of LPs solved so far."""
+    return lp_stops(3)

@@ -368,7 +368,9 @@ class TestSensitivity:
         assert r.exit_code == 4
         assert "--lower-bound" in r.output
 
-    @pytest.mark.parametrize("extra, anchor", [([], 0), (["--lower-bound"], 2)])
+    # either way the third LP is the relaxation of anchor 2: kappa_inf_exact
+    # runs kappa_lower_bound's LPs as its bound pass
+    @pytest.mark.parametrize("extra, anchor", [([], 2), (["--lower-bound"], 2)])
     def test_failed_lp_exit_3(self, runner, tmp_path, third_lp_stops, extra,
                               anchor):
         from conftest import normalized_gram

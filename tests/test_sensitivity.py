@@ -59,15 +59,14 @@ def sphere_cone_min(psi, s, q, seed=0, n_starts=40):
     return best
 
 
-def kappa_inf_all_anchors(psi, s):
-    """kappa_inf by the 2p-anchor enumeration: every coordinate, inside J
-    (with sigma = +1 there) or outside it, is forced to +1 in turn."""
-    p = psi.shape[0]
-
-    def anchors(J, Jc, sigma):
+def anchor_lps(s, anchors, outside=True):
+    """``_enumerate_cones`` programs that force each coordinate of
+    ``anchors``, in order, to +1: inside J where sigma = +1 there, and (with
+    outside) outside J as a_k = 1, b_k = 0."""
+    def programs(J, Jc, sigma):
         k_j = len(Jc)
         nv = s + 2 * k_j
-        for anchor in range(p):
+        for anchor in anchors:
             lower = np.zeros(nv + 1)
             upper = np.concatenate([np.ones(nv), [np.inf]])
             if anchor in J:
@@ -75,13 +74,24 @@ def kappa_inf_all_anchors(psi, s):
                 if sigma[pos] < 0:
                     continue
                 lower[pos] = 1.0
-            else:
+            elif outside:
                 pos = Jc.index(anchor)
                 lower[s + pos] = 1.0
                 upper[s + k_j + pos] = 0.0
+            else:
+                continue
             yield anchor, {"lower": lower, "upper": upper}
+    return programs
 
-    return _enumerate_cones(psi, s, anchors)[0]
+
+def kappa_inf_all_anchors(psi, s, outside=True):
+    """kappa_inf by an unpruned anchor enumeration: every coordinate, inside
+    J (with sigma = +1 there) or, with outside, outside it, is forced to +1
+    in turn.  Returns (value, certificate, J) of the first strictly smallest
+    LP in (J, sigma, anchor) order."""
+    value, cert, J, _, _ = _enumerate_cones(
+        psi, s, anchor_lps(s, range(psi.shape[0]), outside))
+    return value, cert, J
 
 
 def kappa_lower_bound_two_signs(psi, s):
@@ -178,9 +188,42 @@ class TestKappaInf:
     def test_matches_all_anchor_enumeration(self, p, n, seed, s):
         psi = normalized_gram(p, n, seed)
         r = kappa_inf_exact(psi, s)
-        oracle = kappa_inf_all_anchors(psi, s)
+        oracle = kappa_inf_all_anchors(psi, s)[0]
         assert abs(r.value - oracle) <= 1e-12 * abs(oracle)
-        assert r.lp_count == math.comb(p, s) * s * 2 ** (s - 1)
+        full = math.comb(p, s) * s * 2 ** (s - 1)
+        assert r.lp_count == full if s == 1 else p < r.lp_count <= full + p
+
+    # the pruned enumeration keeps the unpruned one's winner bit for bit:
+    # seeded Grams at p 4-9 of 4 (rank-deficient, few anchors prune), 16 or
+    # 40 rows, and identity Grams (n None), where every LP ties at 1
+    @pytest.mark.parametrize("p, n, s", [
+        (p, (4, 16, 40)[(p + s) % 3], s) for p in range(4, 10) for s in (1, 2, 3)
+    ] + [(3, None, 2), (5, None, 1), (5, None, 2), (5, None, 3)])
+    def test_bitwise_equals_unpruned(self, p, n, s):
+        psi = np.eye(p) if n is None else normalized_gram(p, n, 7 * p + n + s)
+        r = kappa_inf_exact(psi, s)
+        value, cert, J = kappa_inf_all_anchors(psi, s, outside=False)
+        assert np.float64(r.value).tobytes() == np.float64(value).tobytes()
+        assert r.certificate.tobytes() == cert.tobytes()
+        assert r.certificate_J == J
+
+    @pytest.mark.parametrize("p, s", [(5, 3), (6, 2), (7, 3), (8, 2)])
+    def test_anchor_bound_below_its_cone_lps(self, p, s):
+        """The lemma that prunes: b_k is at most every cone LP of anchor k,
+        inside J or outside it."""
+        psi = normalized_gram(p, 20, 900 + 10 * p + s)
+        bounds = sensitivity._anchor_bounds(psi, s)
+        for k in range(p):
+            exact = _enumerate_cones(psi, s, anchor_lps(s, [k]))[0]
+            assert bounds[k] <= exact + 1e-12
+
+    @pytest.mark.parametrize("p, n, s", [(4, 30, 2), (6, 4, 3), (8, 16, 2),
+                                         (9, 40, 3)])
+    def test_lp_count_is_solves(self, lp_stops, p, n, s):
+        solved = lp_stops(0)
+        r = kappa_inf_exact(normalized_gram(p, n, p + s), s)
+        assert r.lp_count == len(solved)
+        assert r.lp_count <= math.comb(p, s) * s * 2 ** (s - 1) + p
 
     # (routine, Gram seed, s, scale the certificate is normalized to): all
     # three share one certificate code path, so each must return a vector
@@ -317,6 +360,16 @@ class TestKappaLowerBound:
         assert abs(r.value - oracle) <= 1e-12 * abs(oracle)
         assert r.lp_count == p
 
+    @pytest.mark.parametrize("p, n, seed", [(5, 40, 1), (8, 16, 2),
+                                            (8, 4, 3), (12, 30, 4)])
+    def test_equals_exact_at_s1(self, p, n, seed):
+        """At s = 1 the relaxation of anchor k has the feasible set of its
+        one cone LP."""
+        psi = normalized_gram(p, n, seed)
+        lb = kappa_lower_bound(psi, 1).value
+        exact = kappa_inf_exact(psi, 1).value
+        assert abs(lb - exact) <= 1e-12
+
     def test_nonincreasing_in_s(self):
         psi = normalized_gram(6, 50, 5)
         vals = [kappa_lower_bound(psi, s).value for s in (1, 2, 3)]
@@ -449,14 +502,29 @@ class TestFailedLp:
         psi = normalized_gram(4, 30, 3)
         with pytest.raises(sensitivity.SensitivityLpError) as e:
             kappa_inf_exact(psi, 2)
-        # J = (0, 1): sigma (+, +) anchors 0 and 1, then sigma (+, -) anchor 0
+        # the bound pass comes first: LP 3 is anchor 2's relaxation
         err = e.value
-        assert (err.status, err.J, tuple(err.sigma), err.anchor) == (
-            LpStatus.ITERATION_LIMIT, (0, 1), (1.0, -1.0), 0)
-        assert str(err) == ("sensitivity LP (J=(0, 1), sigma=(1, -1), "
-                            "anchor=0) ended iteration_limit; "
+        assert (err.status, err.J, err.sigma, err.anchor) == (
+            LpStatus.ITERATION_LIMIT, None, None, 2)
+        assert str(err) == ("sensitivity LP (J=None, sigma=None, "
+                            "anchor=2) ended iteration_limit; "
                             "its minimum is unknown")
         assert len(third_lp_stops) == 3
+
+    def test_kappa_inf_exact_raises_in_cone_lp(self, lp_stops):
+        psi = normalized_gram(4, 30, 3)
+        solved = lp_stops(4 + 2)
+        with pytest.raises(sensitivity.SensitivityLpError) as e:
+            kappa_inf_exact(psi, 2)
+        # after the 4 relaxations, anchor 2 (the least bound) is visited
+        # first: J = (0, 2) with sigma (+, +), then sigma (-, +)
+        err = e.value
+        assert (err.status, err.J, tuple(err.sigma), err.anchor) == (
+            LpStatus.ITERATION_LIMIT, (0, 2), (-1.0, 1.0), 2)
+        assert str(err) == ("sensitivity LP (J=(0, 2), sigma=(-1, 1), "
+                            "anchor=2) ended iteration_limit; "
+                            "its minimum is unknown")
+        assert len(solved) == 6
 
     def test_kappa_lower_bound_raises(self, third_lp_stops):
         psi = normalized_gram(4, 30, 3)
