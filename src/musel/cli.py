@@ -145,8 +145,9 @@ _SIM_KEYS = {"n", "p", "s_list", "theta_value", "noise_sd", "pi_star",
               help="Also print a mean-(std) table to stdout.")
 @click.option("--fresh-design", is_flag=True,
               help="Redraw the design every replication instead of per s.")
-@click.option("--workers", type=int, default=None,
-              help="Worker threads (default: MUSEL_THREADS or cpu count).")
+@click.option("--workers", type=click.IntRange(min=1), default=None,
+              help="Reserved for a process count; replications run in the "
+                   "caller and the output does not depend on it.")
 def simulate(config_path, preset, seed, out, raw, md, fresh_design, workers):
     """Run the Monte Carlo benchmark grid and write the table as CSV."""
     from .simulate import (SimConfig, config_from_preset, rows_to_csv,

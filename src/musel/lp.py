@@ -88,7 +88,7 @@ class LinearProgram:
             if A.shape[1] != n or A.shape[0] != b.shape[0]:
                 raise ValueError(f"{name}: shape mismatch "
                                  f"(A {A.shape}, b {b.shape}, n={n})")
-            if np.isnan(A).any() or np.isnan(b).any() or np.isinf(A).any() or np.isinf(b).any():
+            if not (np.isfinite(A).all() and np.isfinite(b).all()):
                 raise ValueError(f"{name}: non-finite coefficients rejected")
             return A, b
 
@@ -98,7 +98,7 @@ class LinearProgram:
                  else np.broadcast_to(np.asarray(self.lower, dtype=float), (n,)).copy())
         upper = (np.full(n, np.inf) if self.upper is None
                  else np.broadcast_to(np.asarray(self.upper, dtype=float), (n,)).copy())
-        if np.isnan(c).any() or np.isinf(c).any():
+        if not np.isfinite(c).all():
             raise ValueError("objective: non-finite coefficients rejected")
         if np.isnan(lower).any() or np.isnan(upper).any():
             raise ValueError("bounds: NaN rejected")
@@ -162,7 +162,7 @@ class _DualSimplex:
         self.feas_tol = feas_tol
         self.opt_tol = opt_tol
         self.max_iters = max_iters
-        self.a_max = np.abs(A).max(initial=0.0)
+        self.a_max = max(A.max(initial=0.0), -A.min(initial=0.0))
         self.is_basic = np.zeros(self.n + self.m, dtype=bool)
         self.is_basic[self.n:] = True
         self.at_upper = np.zeros(self.n + self.m, dtype=bool)

@@ -4,8 +4,13 @@ Pipeline per replication: draw a normalized Gaussian design, a sparse
 coefficient vector and Gaussian response noise, mask the design entrywise,
 rescale by the (known) keep probability, estimate the compensation
 diagonal, and solve each configured selector with mu = (1+delta)*delta.
-Replications aggregate into per-(s, delta, estimator) table rows with
-means, standard deviations, and exact-support-recovery counts.
+The selectors of one replication share one Gram Z'Z/n: the compensated
+selector solves on a copy with diag(Dhat) subtracted.  Replications
+aggregate into per-(s, delta, estimator) table rows with means, standard
+deviations, and exact-support-recovery counts.
+
+Replications run one after another in the calling thread: the simplex
+pivots hold the GIL, so threads cannot overlap them.
 
 Determinism: every random draw derives from the experiment seed and the
 cell coordinates (s, delta, rep) through SeedSequence, so results are
@@ -13,15 +18,15 @@ byte-identical across runs and across worker counts, and adding estimators
 never perturbs other cells.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
+from . import estimators
 from .core import normalize_design
-from .estimators import (SelectorConfig, solve_compensated_mu,
-                         solve_mu_selector, solve_missing_data_cmu)
+from .estimators import SelectorConfig, solve_missing_data_cmu
+# unused here, but perfbench/probes.py wraps these names on this module
+from .estimators import solve_compensated_mu, solve_mu_selector  # noqa: F401
 from .missing import apply_mask, estimate_pi, rescale, sigma_hat
 
 _DESIGN_STREAM = 101
@@ -187,7 +192,12 @@ def _design_for(config, s, delta, rep):
 
 
 def _run_cell_rep(config, X, s, delta, rep):
-    """One replication: simulate data, run every configured estimator."""
+    """One replication: simulate data, run every configured estimator.
+
+    MU and Dantzig solve on G, c = Z'Z/n, Z'y/n; known-pi CMU solves on a
+    copy of G with diag(Dhat) subtracted, bitwise core.gram(Z, Dhat).
+    Estimated-pi CMU keeps its own program on the masked design.
+    """
     ss = np.random.SeedSequence((config.seed, _DATA_STREAM, s,
                                  _delta_key(delta), rep))
     c_theta, c_resp, c_mask = ss.spawn(3)
@@ -197,93 +207,58 @@ def _run_cell_rep(config, X, s, delta, rep):
                      np.random.default_rng(c_resp))
     masked = apply_mask(X, config.pi_star, c_mask)
 
+    known = config.pi_mode == "known"
+    Z = rescale(masked, config.pi_star if known
+                else estimate_pi(masked, mode="pooled"))
+    # in estimated mode tau comes from the pi_hat-rescaled design, for comparability
+    tau = _tau_from_rule(config.tau_rule, Z, config.noise_sd)
     mu = (1.0 + delta) * delta
-    out = {}
-    if config.pi_mode == "known":
-        Z = rescale(masked, config.pi_star)
-        tau = _tau_from_rule(config.tau_rule, Z, config.noise_sd)
-        base = SelectorConfig(mu=mu, tau=tau,
-                              nonzero_threshold=config.nonzero_threshold)
-        for name in config.estimators:
-            if name == "CMU":
-                dhat = sigma_hat(masked, config.pi_star)
-                cfg = SelectorConfig(mu=mu, tau=tau,
-                                     compensation=dhat.sigma_hat_sq,
-                                     nonzero_threshold=config.nonzero_threshold)
-                est = solve_compensated_mu(Z, y, cfg)
-            elif name == "MU":
-                est = solve_mu_selector(Z, y, base)
-            else:  # Dantzig: mu = 0 regardless of delta
-                dz = SelectorConfig(mu=0.0, tau=tau,
-                                    nonzero_threshold=config.nonzero_threshold)
-                est = solve_mu_selector(Z, y, dz)
-            out[name] = (est, theta_star, X)
-    else:
-        pi_hat = estimate_pi(masked, mode="pooled")
-        Z = rescale(masked, pi_hat)
-        # tau computed on the pi_hat-rescaled design for comparability
-        tau = _tau_from_rule(config.tau_rule, Z, config.noise_sd)
-        for name in config.estimators:
-            if name == "CMU":
-                cfg = SelectorConfig(mu=mu, tau=tau,
-                                     nonzero_threshold=config.nonzero_threshold)
-                est = solve_missing_data_cmu(masked.Z_tilde, y, pi=None,
-                                             config=cfg, path="direct")
-            else:
-                cfg = SelectorConfig(mu=0.0 if name == "Dantzig" else mu,
-                                     tau=tau,
-                                     nonzero_threshold=config.nonzero_threshold)
-                est = solve_mu_selector(Z, y, cfg)
-            out[name] = (est, theta_star, X)
-
+    base = SelectorConfig(mu=mu, tau=tau,
+                          nonzero_threshold=config.nonzero_threshold)
+    G = c = None
     results = {}
-    for name, (est, th, Xd) in out.items():
-        m = metrics(est.theta, th, Xd, config.nonzero_threshold)
+    for name in config.estimators:
+        if name == "CMU" and not known:
+            est = solve_missing_data_cmu(masked.Z_tilde, y, pi=None,
+                                         config=base, path="direct")
+        else:
+            if G is None:
+                G, c = estimators.selector_gram(Z, y)
+            if name == "CMU":
+                cfg = replace(base, compensation=sigma_hat(
+                    masked, config.pi_star).sigma_hat_sq)
+                G_cmu = G.copy()
+                G_cmu[np.diag_indices_from(G_cmu)] -= cfg.compensation
+                est = estimators._solve_from_gram(G_cmu, c, cfg)
+            else:  # Dantzig: mu = 0 regardless of delta
+                cfg = replace(base, mu=0.0) if name == "Dantzig" else base
+                est = estimators._solve_from_gram(G, c, cfg)
+        m = metrics(est.theta, theta_star, X, config.nonzero_threshold)
         m.status = est.status.value
         results[name] = m
     return results
 
 
-def _workers_from_env():
-    raw = os.environ.get("MUSEL_THREADS", "0").strip() or "0"
-    try:
-        k = int(raw)
-    except ValueError:
-        k = 0
-    if k <= 0:
-        k = os.cpu_count() or 1
-    return max(1, k)
-
-
 def run_experiment(config, workers=None, collect_raw=False):
     """Run the full grid and aggregate TableRows.
 
-    Replications execute concurrently (worker count from ``workers`` or the
-    MUSEL_THREADS environment variable); aggregation is an ordered
-    reduction over replication index, so the worker count cannot change the
-    output.  Failed replications (solver status not optimal) are excluded
-    from the aggregates and counted in the ``failed`` column.
+    Replications run in the calling thread, in (s, delta, rep) order, each
+    through ``_run_cell_rep``; aggregation is an ordered reduction over
+    replication index.  ``workers`` is accepted and reserved for a process
+    count: it changes neither the schedule nor the output.  Failed
+    replications (solver status not optimal) are excluded from the
+    aggregates and counted in the ``failed`` column.
     """
-    if workers is None:
-        workers = _workers_from_env()
     rows = []
     raw = []
     for s in config.s_list:
         design_cache = None if config.fresh_design else _design_for(config, s, 0.0, 0)
         for delta in config.delta_list:
-            cell = [None] * config.reps
-
-            def work(rep, _s=s, _d=delta, _X=design_cache):
-                X = _X if _X is not None else _design_for(config, _s, _d, rep)
-                return _run_cell_rep(config, X, _s, _d, rep)
-
-            if workers > 1 and config.reps > 1:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    for rep, res in enumerate(pool.map(work, range(config.reps))):
-                        cell[rep] = res
-            else:
-                for rep in range(config.reps):
-                    cell[rep] = work(rep)
+            cell = []
+            for rep in range(config.reps):
+                X = (design_cache if design_cache is not None
+                     else _design_for(config, s, delta, rep))
+                cell.append(_run_cell_rep(config, X, s, delta, rep))
 
             for name in config.estimators:
                 ms = [cell[rep][name] for rep in range(config.reps)]

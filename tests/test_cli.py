@@ -283,6 +283,19 @@ class TestSimulate:
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]
 
+    def test_workers_below_one_rejected(self, runner, tmp_path):
+        cfg = self._cfg(tmp_path)
+        for workers in ("0", "-3"):
+            r = runner.invoke(cli, ["simulate", "--config", str(cfg),
+                                    "--seed", "7", "--workers", workers,
+                                    "--out", str(tmp_path / "x.csv")])
+            assert r.exit_code == 64, r.output
+            assert "--workers" in r.output
+        assert not (tmp_path / "x.csv").exists()
+        r = runner.invoke(cli, ["simulate", "--config", str(cfg), "--seed", "7",
+                                "--workers", "2", "--out", str(tmp_path / "x.csv")])
+        assert r.exit_code == 0, r.output
+
     def test_schema(self, runner, tmp_path):
         cfg = self._cfg(tmp_path)
         out = tmp_path / "t.csv"

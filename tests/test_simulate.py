@@ -1,10 +1,17 @@
 """Monte Carlo harness: generators, metrics, determinism, reductions."""
 
+import functools
+import os
+import subprocess
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from musel.core import gram
-from musel.estimators import selector_gram
+from musel.estimators import (selector_gram, solve_compensated_mu,
+                               solve_dantzig, solve_mu_selector)
 from musel.missing import sigma_hat, apply_mask
 from musel.simulate import (SimConfig, config_from_preset, gen_design,
                             gen_response, gen_theta, metrics, rows_to_csv,
@@ -182,6 +189,94 @@ class TestRunExperiment:
     def test_unknown_estimator_rejected(self):
         with pytest.raises(ValueError, match="unknown estimators"):
             SimConfig(seed=1, estimators=("Lasso",))
+
+
+class TestReplicationSchedule:
+    """Each replication builds one Gram, runs in the caller through the
+    module-global ``_run_cell_rep``, and solves what the public selectors
+    solve."""
+
+    @staticmethod
+    def _spy(monkeypatch, module, attr, calls):
+        real = getattr(module, attr)
+
+        def spy(*args, **kwargs):
+            res = real(*args, **kwargs)
+            calls.append((args, res))
+            return res
+        monkeypatch.setattr(module, attr, spy)
+
+    def test_one_gram_per_replication(self, monkeypatch):
+        import musel.estimators as est
+        import musel.simulate as sim
+        from musel.missing import rescale
+        cfg = SimConfig(seed=6, n=20, p=10, s_list=(1, 2),
+                        delta_list=(0.0, 0.05), reps=2,
+                        estimators=("MU", "CMU", "Dantzig"))
+        grams, solves, masks, responses = [], [], [], []
+        self._spy(monkeypatch, est, "selector_gram", grams)
+        self._spy(monkeypatch, est, "_solve_from_gram", solves)
+        self._spy(monkeypatch, sim, "apply_mask", masks)
+        self._spy(monkeypatch, sim, "gen_response", responses)
+        run_experiment(cfg, workers=1)
+        monkeypatch.undo()
+
+        n_reps = len(cfg.s_list) * len(cfg.delta_list) * cfg.reps
+        assert len(grams) == n_reps
+        assert len(solves) == 3 * n_reps
+        for r in range(n_reps):
+            masked, y = masks[r][1], responses[r][1]
+            Z = rescale(masked, cfg.pi_star)
+            dhat = sigma_hat(masked, cfg.pi_star).sigma_hat_sq
+            (_, _, mu_cfg), mu_est = solves[3 * r]
+            (_, _, cmu_cfg), cmu_est = solves[3 * r + 1]
+            (_, _, dz_cfg), dz_est = solves[3 * r + 2]
+            assert np.array_equal(cmu_cfg.compensation, dhat)
+            assert dz_cfg.mu == 0.0 and dz_cfg.tau == mu_cfg.tau
+            for got, want in (
+                    (mu_est, solve_mu_selector(Z, y, mu_cfg)),
+                    (cmu_est, solve_compensated_mu(Z, y, cmu_cfg)),
+                    (dz_est, solve_dantzig(Z, y, dz_cfg.tau))):
+                assert got.status is want.status
+                assert np.array_equal(got.theta, want.theta)
+                assert got.residual == want.residual
+
+    def test_estimated_pi_shares_the_gram(self, monkeypatch):
+        import musel.estimators as est
+        cfg = SimConfig(seed=4, n=20, p=10, s_list=(1,), delta_list=(0.05,),
+                        reps=3, pi_mode="estimated",
+                        estimators=("MU", "CMU", "Dantzig"))
+        grams = []
+        self._spy(monkeypatch, est, "selector_gram", grams)
+        run_experiment(cfg, workers=1)
+        assert len(grams) == cfg.reps
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_wrapped_replication_sees_every_call(self, monkeypatch, workers):
+        import musel.simulate as sim
+        cfg = SimConfig(seed=11, n=16, p=8, s_list=(1, 2),
+                        delta_list=(0.0, 0.05), reps=3)
+        real, seen = sim._run_cell_rep, []
+
+        @functools.wraps(real, updated=())
+        def rep(*args, **kwargs):
+            seen.append((args[2:], threading.get_ident()))
+            return real(*args, **kwargs)
+        monkeypatch.setattr(sim, "_run_cell_rep", rep)
+        run_experiment(cfg, workers=workers)
+        order = [(s, d, r) for s in cfg.s_list for d in cfg.delta_list
+                 for r in range(cfg.reps)]
+        assert [key for key, _ in seen] == order
+        assert {tid for _, tid in seen} == {threading.get_ident()}
+
+    def test_import_loads_no_thread_pool(self):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        code = ("import musel.simulate, sys; "
+                "print('concurrent.futures' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "False"
 
 
 class TestRendering:
