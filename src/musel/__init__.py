@@ -14,7 +14,6 @@ from .core import (
     gram,
     normalize_design,
     coherence,
-    re_constant_bruteforce,
     error_matrices,
 )
 from .lp import LinearProgram, LpSolution, LpStatus, solve_lp
@@ -71,7 +70,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ErrorMatrices", "gram", "normalize_design", "coherence",
-    "re_constant_bruteforce", "error_matrices",
+    "error_matrices",
     "LinearProgram", "LpSolution", "LpStatus", "solve_lp",
     "SelectorConfig", "Estimate",
     "solve_compensated_mu", "solve_mu_selector", "solve_dantzig",

@@ -33,7 +33,6 @@ _STATUS_EXIT = {
     LpStatus.OPTIMAL: 0,
     LpStatus.INFEASIBLE: 2,
     LpStatus.ITERATION_LIMIT: 3,
-    LpStatus.UNBOUNDED: 5,
 }
 
 

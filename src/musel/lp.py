@@ -1,13 +1,15 @@
 """Dense bounded-variable linear programming by the dual simplex method.
 
-Every row gets a slack, ``[0, inf)`` for ``<=`` rows and ``[0, 0]`` for
-``==`` rows, so the constraints read ``A x + s = b``.  The solve starts from
-the all-slack basis with each nonbasic variable at the bound its cost sign
-favours.  When the costs are >= 0 and the lower bounds finite, as in every
-selector and sensitivity LP, that basis is dual feasible and the dual
-simplex starts at once.  Otherwise a dual phase 1 first solves the boxed
-auxiliary problem (b = 0, one-sided bounds cut to unit length; Koberstein
-2005, ch. 4) from the same loop.
+:func:`solve_lp` takes LPs whose costs are >= 0 and whose lower bounds are
+finite, as every selector and sensitivity LP is.  Every row gets a slack,
+``[0, inf)`` for ``<=`` rows and ``[0, 0]`` for ``==`` rows, so the
+constraints read ``A x + s = b``.  The solve starts from the all-slack basis
+with every structural variable at its lower bound.  Costs >= 0 make that
+basis dual feasible, so the dual simplex starts at once, and ``c @ lower``
+bounds the objective below, so a solve ends OPTIMAL, INFEASIBLE or at its
+iteration limit.  A reduced cost of the wrong sign with no bound to flip to
+can then only come from rounding; when a fresh factor shows one, the solve
+starts again from the all-slack basis.
 
 A basis is the set S of basic structural columns plus the equal-sized set R
 of rows whose slacks are nonbasic; only the k x k block ``A[R, S]`` is
@@ -28,7 +30,6 @@ Bland rule takes over after a run of degenerate pivots, so repeated solves
 of the same problem are bitwise reproducible.
 """
 
-import os
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -50,12 +51,7 @@ _UPDATE_TOL = 1e-9
 class LpStatus(Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
-    UNBOUNDED = "unbounded"
     ITERATION_LIMIT = "iteration_limit"
-
-
-# internal: the basis prices some unbounded direction at a profit
-_DUAL_INFEASIBLE = "dual_infeasible"
 
 
 @dataclass(frozen=True)
@@ -63,7 +59,8 @@ class LinearProgram:
     """min c@x  s.t.  A_ub@x <= b_ub,  A_eq@x == b_eq,  lower <= x <= upper.
 
     Bounds may be +-inf.  All other data must be finite; NaN anywhere is
-    rejected at construction.
+    rejected at construction.  :func:`solve_lp` further needs c >= 0 and
+    finite lower bounds.
     """
 
     c: np.ndarray
@@ -128,7 +125,6 @@ class LpSolution:
     objective_value: float
     iterations: int
     farkas_y: np.ndarray = None
-    ray: np.ndarray = None
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -141,8 +137,8 @@ class _DualSimplex:
 
     Variables 0..n-1 are structural, n+i is the slack of row i.  The basis
     (which variables are basic, which nonbasic ones sit at their upper
-    bound) carries over from one :meth:`run` to the next, so phase 1 and
-    phase 2 share it; costs, right-hand side and bounds are per run.
+    bound) starts all-slack; costs, right-hand side and bounds are passed
+    to :meth:`run`.
 
     Between pivots the engine also keeps the block: the basic structural
     columns ``S`` and the rows ``R`` with nonbasic slacks, in block order
@@ -170,6 +166,7 @@ class _DualSimplex:
         self.repairs = 0
         self.refactors = 0
         self.updates = 0
+        self.restarts = 0
         self.pos = np.zeros(self.n + self.m, dtype=np.intp)
         self._S = self._R = np.empty(0, dtype=np.intp)
         self._K = np.empty((0, 0))
@@ -227,23 +224,18 @@ class _DualSimplex:
         self.pos[S] = self.pos[n + R] = np.arange(S.size)
         return S, R, Kinv
 
-    def _flips(self, otol, inf_lo, inf_up, free):
+    def _flips(self, otol, inf_up):
         """Nonbasic variables whose reduced cost favours their other bound,
-        or None when a wrong sign has no bound there: the basis prices an
-        unbounded direction at a profit.  A variable at its upper bound has
-        a finite one, and one at its lower bound an infinite one only when
-        it is free."""
-        d, at_upper = self.d, self.at_upper
-        flip = (np.where(at_upper, d, -d) > otol).nonzero()[0]
-        if flip.size and np.any(np.where(at_upper[flip], inf_lo[flip], inf_up[flip])):
-            return None
-        if free.size and np.any(np.abs(d[free]) > otol):
+        or None when one of them has no bound there: only a variable at its
+        lower bound can lack one, as every lower bound is finite."""
+        flip = (np.where(self.at_upper, self.d, -self.d) > otol).nonzero()[0]
+        if flip.size and np.any(inf_up[flip]):
             return None
         return flip
 
-    def _recompute(self, c, b, lo0, up0, otol, inf_lo, inf_up, free):
-        """Refactor, then d and x from the fresh factor; False when the
-        basis prices an unbounded direction at a profit."""
+    def _recompute(self, c, b, lo, up, otol, inf_up):
+        """Refactor, then d and x from the fresh factor; False when a
+        reduced cost has the wrong sign and no bound to flip to."""
         A, n = self.A, self.n
         S, R, Kinv = self._factor()
         AR, AS = A[R], A[:, S]
@@ -257,12 +249,12 @@ class _DualSimplex:
         self.d = d
 
         # a nonbasic variable sits at the bound its reduced cost favours
-        flip = self._flips(otol, inf_lo, inf_up, free)
+        flip = self._flips(otol, inf_up)
         if flip is None:
             return False
         self.at_upper[flip] = ~self.at_upper[flip]
 
-        x = np.where(self.at_upper, up0, lo0)
+        x = np.where(self.at_upper, up, lo)
         x[self.is_basic] = 0.0
         v = b - x[n:]
         nz = x[:n].nonzero()[0]
@@ -376,26 +368,25 @@ class _DualSimplex:
         return True
 
     def run(self, c, b, lo, up):
-        """Pivot until OPTIMAL, INFEASIBLE, ITERATION_LIMIT or, when the
-        basis prices an unbounded direction at a profit, _DUAL_INFEASIBLE.
-        Every verdict is read off a fresh factor."""
+        """Pivot until OPTIMAL, INFEASIBLE or ITERATION_LIMIT, with c >= 0
+        and lo finite.  Every verdict is read off a fresh factor."""
         A, n = self.A, self.n
         otol, htol, ftol = self.opt_tol, 0.5 * self.opt_tol, self.feas_tol
-        inf_lo, inf_up = np.isinf(lo), np.isinf(up)
-        free = (inf_lo & inf_up).nonzero()[0]
+        inf_up = np.isinf(up)
         fixed = (up == lo).nonzero()[0]
-        lo0 = np.where(inf_lo, 0.0, lo)
-        up0 = np.where(inf_up, 0.0, up)
-        # one-sided variables sit at their finite bound, free ones at 0
-        self.at_upper |= inf_lo
-        self.at_upper &= ~inf_up
         bland_after = 50 + 2 * self.m
         degenerate_run = 0
         updated = None          # updates since the last factor; None: refactor
         while True:
             if updated is None:
-                if not self._recompute(c, b, lo0, up0, otol, inf_lo, inf_up, free):
-                    return _DUAL_INFEASIBLE
+                if not self._recompute(c, b, lo, up, otol, inf_up):
+                    # rounding broke dual feasibility: start again from the
+                    # all-slack basis, where the reduced costs are c >= 0
+                    self.is_basic[:n] = False
+                    self.is_basic[n:] = True
+                    self.at_upper[:] = False
+                    self.restarts += 1
+                    continue
                 updated = 0
             x, d, S, R, Kinv = self.x, self.d, self.S, self.R, self.Kinv
 
@@ -444,8 +435,6 @@ class _DualSimplex:
             toward = np.where(self.at_upper, a, -a)
             if fixed.size:
                 toward[fixed] = 0.0
-            if free.size:
-                toward[free] = np.abs(a[free])
             J = (toward > _PIV_TOL).nonzero()[0]
             if not J.size:
                 if updated:
@@ -486,12 +475,12 @@ class _DualSimplex:
             target = lo[r] if sigma > 0 else up[r]
             if updated < _REFACTOR_EVERY and self._update(q, r, sigma, target, a, rho):
                 updated += 1
-                flip = self._flips(otol, inf_lo, inf_up, free)
+                flip = self._flips(otol, inf_up)
                 if flip is None:
                     updated = None
                 elif flip.size:
                     self.at_upper[flip] = ~self.at_upper[flip]
-                    self._move(flip, np.where(self.at_upper[flip], up0[flip], lo0[flip]))
+                    self._move(flip, np.where(self.at_upper[flip], up[flip], lo[flip]))
             else:
                 self.is_basic[q] = True
                 self.is_basic[r] = False
@@ -499,45 +488,33 @@ class _DualSimplex:
                 updated = None
 
 
-def _aux_bounds(lo, up):
-    """Bounds of the auxiliary problem: boxed variables fixed at 0, one-sided
-    ones on the unit segment in their feasible direction, free ones on
-    [-1, 1].  Any basis is dual feasible for it."""
-    return (np.where(np.isfinite(lo), 0.0, -1.0),
-            np.where(np.isfinite(up), 0.0, 1.0))
-
-
-def _dump_lp(lp, path):
-    with open(path, "a") as fh:
-        fh.write(f"# LP vars={lp.n_vars} ub_rows={lp.A_ub.shape[0]} "
-                 f"eq_rows={lp.A_eq.shape[0]}\n")
-        fh.write("c " + " ".join(f"{v:.17g}" for v in lp.c) + "\n")
-        for A, b, tag in ((lp.A_ub, lp.b_ub, "<="), (lp.A_eq, lp.b_eq, "==")):
-            for row, rhs in zip(A, b):
-                fh.write(" ".join(f"{v:.17g}" for v in row) + f" {tag} {rhs:.17g}\n")
-        fh.write("lo " + " ".join(f"{v:.17g}" for v in lp.lower) + "\n")
-        fh.write("up " + " ".join(f"{v:.17g}" for v in lp.upper) + "\n")
-
-
 def solve_lp(lp, feas_tol=DEFAULT_FEAS_TOL, opt_tol=DEFAULT_OPT_TOL,
              max_iters=None):
-    """Solve a :class:`LinearProgram`.
+    """Solve a :class:`LinearProgram` with costs >= 0 and finite lower bounds.
 
-    Deterministic: identical input yields a bitwise-identical solution.
-    ``max_iters`` defaults to ``50 * (n_vars + n_constraints)``.
-    INFEASIBLE carries a Farkas vector ``farkas_y`` over the rows (``<=``
-    rows first) and, in ``diagnostics["phase1_infeasibility"]``, the bound
-    violation of the row that proved it; UNBOUNDED carries a recession
-    direction ``ray`` with ``c @ ray < 0``.  Every status reports, in
-    ``diagnostics``, the block factorizations (``refactors``, the terminal
-    one and each repair attempt included), the in-place block ``updates``
-    and the singular-block ``repairs``.
+    Raises ValueError naming the first variable with ``c_j < 0`` or
+    ``lower_j = -inf``, and for ``opt_tol < 0``, under which no basis would
+    be dual feasible.  Deterministic: identical input yields a
+    bitwise-identical solution.  ``max_iters`` defaults to
+    ``50 * (n_vars + n_constraints)`` and counts every pivot, those before
+    a restart included.  INFEASIBLE carries a Farkas vector ``farkas_y``
+    over the rows (``<=`` rows first) and, in
+    ``diagnostics["infeasibility"]``, the bound violation of the row that
+    proved it.  Every status reports, in ``diagnostics``, the block
+    factorizations (``refactors``, the terminal one and each repair attempt
+    included), the in-place block ``updates``, the singular-block
+    ``repairs`` and the ``restarts`` from the all-slack basis.
     """
     if not isinstance(lp, LinearProgram):
         raise TypeError("solve_lp expects a LinearProgram")
-    debug_path = os.environ.get("MUSEL_LP_DEBUG", "")
-    if debug_path:
-        _dump_lp(lp, debug_path)
+    bad = (lp.c < 0.0) | (lp.lower == -np.inf)
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise ValueError(f"variable {j}: solve_lp needs c_j >= 0 and a finite "
+                         f"lower bound, got c_j = {lp.c[j]!r}, "
+                         f"lower_j = {lp.lower[j]!r}")
+    if not opt_tol >= 0.0:
+        raise ValueError(f"opt_tol must be >= 0, got {opt_tol!r}")
 
     n = lp.n_vars
     m1 = lp.A_ub.shape[0]
@@ -551,35 +528,15 @@ def solve_lp(lp, feas_tol=DEFAULT_FEAS_TOL, opt_tol=DEFAULT_OPT_TOL,
     up = np.concatenate([lp.upper, np.full(m1, np.inf), np.zeros(m - m1)])
 
     eng = _DualSimplex(A, feas_tol, opt_tol, max_iters)
-    ray = None
     with np.errstate(all="ignore"):
         status = eng.run(c, b, lo, up)
-        while status is _DUAL_INFEASIBLE:
-            status = eng.run(c, np.zeros(m), *_aux_bounds(lo, up))
-            if status is not LpStatus.OPTIMAL:
-                break
-            ray = eng.x[:n].copy()
-            start = eng.iters
-            status = eng.run(c, b, lo, up)
-            if status is _DUAL_INFEASIBLE and eng.iters == start:
-                # the auxiliary optimum c @ ray is negative, so the LP is
-                # unbounded if it is feasible at all: solve with zero cost
-                status = eng.run(np.zeros(n + m), b, lo, up)
-                if status is LpStatus.OPTIMAL:
-                    status = LpStatus.UNBOUNDED
 
     x = eng.x[:n].copy()
     diagnostics = {"refactors": eng.refactors, "updates": eng.updates,
-                   "repairs": eng.repairs}
-    if status is LpStatus.OPTIMAL:
-        return LpSolution(status, x, float(lp.c @ x), eng.iters,
-                          diagnostics=diagnostics)
+                   "repairs": eng.repairs, "restarts": eng.restarts}
     if status is LpStatus.INFEASIBLE:
-        diagnostics["phase1_infeasibility"] = eng.violation
+        diagnostics["infeasibility"] = eng.violation
         return LpSolution(status, x, np.nan, eng.iters, farkas_y=eng.farkas,
-                          diagnostics=diagnostics)
-    if status is LpStatus.UNBOUNDED:
-        return LpSolution(status, x, -np.inf, eng.iters, ray=ray,
                           diagnostics=diagnostics)
     return LpSolution(status, x, float(lp.c @ x), eng.iters,
                       diagnostics=diagnostics)

@@ -44,11 +44,12 @@ class SensitivityLpError(ValueError):
     """An enumerated LP ended other than OPTIMAL.
 
     Every such LP is feasible and bounded by construction (see
-    ``_enumerate_cones`` and ``_anchor_bounds``), so any other status is
-    a solver failure, and skipping the LP could leave a bound that is too
-    high.  Carries the status, the support J and signs sigma (None for the
-    anchor relaxations of ``_anchor_bounds``) and the anchor coordinate
-    (None for the unit-mass LPs of ``kappa_one``).
+    ``_enumerate_cones``, ``_anchor_bounds`` and ``kappa_star``), so any
+    other status is a solver failure, and skipping the LP could leave a
+    bound that is too high.  Carries the status, the support J and signs
+    sigma (None for the anchor relaxations of ``_anchor_bounds`` and
+    ``kappa_star``) and the anchor coordinate (None for the unit-mass LPs
+    of ``kappa_one``).
     """
 
     def __init__(self, status, J, sigma, anchor):
@@ -317,7 +318,9 @@ def kappa_star(psi, s, k, budget_cap=DEFAULT_BUDGET_CAP):
     over unbounded cone variables).  For larger p a single relaxed LP is
     solved over {delta_k = 1, |delta|_inf <= M, sum-split l1 <= 2sM,
     1 <= M <= 2s}, a superset of the cone section as long as the M cap does
-    not bind; the result is flagged as a lower bound.
+    not bind; the result is flagged as a lower bound.  That LP is feasible
+    (delta = e_k, M = 1) and bounded (t >= 0), so one that is not OPTIMAL
+    raises SensitivityLpError(status, None, None, k).
     """
     psi = check_gram(psi)
     p = psi.shape[0]
@@ -380,9 +383,10 @@ def kappa_star(psi, s, k, budget_cap=DEFAULT_BUDGET_CAP):
     sol = solve_lp(LinearProgram(c=obj, A_ub=A, b_ub=b,
                                  A_eq=anchor[None, :], b_eq=[1.0],
                                  lower=lower, upper=upper))
-    val = sol.objective_value if sol.status is LpStatus.OPTIMAL else 0.0
-    return SensitivityResult(value=float(val), kind=KIND_LOWER_BOUND, s=s,
-                             coord=k, lp_count=1,
+    if sol.status is not LpStatus.OPTIMAL:
+        raise SensitivityLpError(sol.status, None, None, k)
+    return SensitivityResult(value=sol.objective_value, kind=KIND_LOWER_BOUND,
+                             s=s, coord=k, lp_count=1,
                              wall_time=time.perf_counter() - t0)
 
 

@@ -3,7 +3,8 @@
 The solvers run the direct 2p-row LP over theta alone.  The pair form over
 (theta, u) states the selector constraint as |c - G theta + u|_inf <= tau
 with |u|_inf <= mu*|theta|_1; the two share their optimal value, which
-``tests/test_estimators.py`` checks on random instances.
+``tests/test_estimators.py`` checks on random instances.  The free u enters
+the LP split, u = u+ - u-, so that solve_lp takes it.
 """
 
 import numpy as np
@@ -16,9 +17,10 @@ from musel.lp import LinearProgram
 def build_cmu_lp(Z, y, config):
     """The pair-form LP over (theta, u) for the nonnegative orthant.
 
-    Variables theta in R+^p and u in R^p; objective sum(theta); 4p rows
-    encoding |c - G theta + u|_inf <= tau and |u|_inf <= mu*sum(theta).
-    Its optimal theta solves the selector problem on R+^p.
+    Variables theta in R+^p and u = u+ - u- in R^p, in the order
+    (theta, u+, u-); objective sum(theta); 4p rows encoding
+    |c - G theta + u|_inf <= tau and |u|_inf <= mu*sum(theta).  Its optimal
+    theta solves the selector problem on R+^p.
     """
     if config.domain != "nonneg":
         raise ValueError("pair LP requires domain='nonneg'; "
@@ -28,15 +30,14 @@ def build_cmu_lp(Z, y, config):
     eye = np.eye(p)
     mu_row = np.full((p, p), -config.mu)
     A = np.vstack([
-        np.hstack([-G, eye]),         # -G theta + u <= tau - c
-        np.hstack([G, -eye]),         # G theta - u <= tau + c
-        np.hstack([mu_row, eye]),     # u - mu*sum(theta) <= 0
-        np.hstack([mu_row, -eye]),    # -u - mu*sum(theta) <= 0
+        np.hstack([-G, eye, -eye]),       # -G theta + u <= tau - c
+        np.hstack([G, -eye, eye]),        # G theta - u <= tau + c
+        np.hstack([mu_row, eye, -eye]),   # u - mu*sum(theta) <= 0
+        np.hstack([mu_row, -eye, eye]),   # -u - mu*sum(theta) <= 0
     ])
     b = np.concatenate([config.tau - c, config.tau + c, np.zeros(2 * p)])
-    obj = np.concatenate([np.ones(p), np.zeros(p)])
-    lower = np.concatenate([np.zeros(p), np.full(p, -np.inf)])
-    return LinearProgram(c=obj, A_ub=A, b_ub=b, lower=lower)
+    obj = np.concatenate([np.ones(p), np.zeros(2 * p)])
+    return LinearProgram(c=obj, A_ub=A, b_ub=b, lower=np.zeros(3 * p))
 
 
 def build_cmu_lp_direct(Z, y, config):

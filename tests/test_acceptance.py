@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from musel.core import coherence, gram, normalize_design, re_constant_bruteforce
+from musel.core import coherence, gram, normalize_design
 from musel.estimators import (SelectorConfig, feasibility_check, selector_gram,
                               solve_compensated_mu, solve_dantzig,
                               solve_mu_selector)
@@ -22,6 +22,7 @@ from musel.thresholds import (NoiseParams, nu_bound, subgaussian_deltas,
                               thresholds_for)
 
 from conftest import normalized_gram
+from re_oracle import re_constant_bruteforce
 from test_estimators import grid_min_l1
 from test_sensitivity import sphere_cone_min
 

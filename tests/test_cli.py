@@ -396,6 +396,17 @@ class TestSensitivity:
         assert f"anchor={anchor}) ended iteration_limit" in r.output
         assert not out.exists()
 
+    def test_kappa_star_failed_lp_exit_3(self, runner, tmp_path, lp_stops):
+        from conftest import normalized_gram
+        write_matrix(tmp_path / "g.csv", normalized_gram(7, 30, 5))
+        out = tmp_path / "s.json"
+        lp_stops(1)
+        r = runner.invoke(cli, ["sensitivity", "--gram", str(tmp_path / "g.csv"),
+                                "--s", "2", "--q", "star:3", "--out", str(out)])
+        assert r.exit_code == 3, r.output
+        assert "anchor=3) ended iteration_limit" in r.output
+        assert not out.exists()
+
     def test_lower_bound_path(self, runner, tmp_path, rng):
         X = rng.standard_normal((40, 30))
         X -= X.mean(axis=0)

@@ -15,7 +15,7 @@ from musel.estimators import (SelectorConfig, feasibility_check,
 from musel.lp import LinearProgram, LpStatus, solve_lp
 from musel.missing import MaskedDesign, estimate_pi, rescale, sigma_hat
 
-from conftest import selector_instance
+from conftest import in_contract, selector_instance
 from pair_lp import build_cmu_lp, build_cmu_lp_direct, lift_to_pair
 
 
@@ -105,7 +105,8 @@ def orthant_min_l1(G, c, mu, tau):
     """Exact free-domain selector value: in the orthant of sign vector
     sigma, |theta|_1 = sigma'theta, so each orthant is the LP
     min sigma'theta s.t. +-(c - G theta) <= mu*sigma'theta + tau,
-    sigma*theta >= 0; the value is the minimum over all 2^p of them."""
+    sigma*theta >= 0, solved with its negative entries reflected; the value
+    is the minimum over all 2^p of them."""
     p = G.shape[0]
     best = np.inf
     for sigma in product((1.0, -1.0), repeat=p):
@@ -115,9 +116,10 @@ def orthant_min_l1(G, c, mu, tau):
                            b_ub=np.concatenate([tau - c, tau + c]),
                            lower=np.where(sigma > 0, 0.0, -np.inf),
                            upper=np.where(sigma > 0, np.inf, 0.0))
+        lp, offset, _ = in_contract(lp)
         sol = solve_lp(lp)
         if sol.status is LpStatus.OPTIMAL:
-            best = min(best, sol.objective_value)
+            best = min(best, sol.objective_value + offset)
     return best
 
 
@@ -148,7 +150,8 @@ class TestBuildCmuLp:
         G[1, 1] -= dhat[1]
         c_vec = np.array([sum(Z[i, j] * y[i] for i in range(n)) / n
                           for j in range(2)])
-        expect_A = np.zeros((8, 4))
+        # columns theta, u+, u-: u- repeats u+ negated
+        expect_A = np.zeros((8, 6))
         expect_b = np.zeros(8)
         expect_A[0:2, 0:2] = -G
         expect_A[0:2, 2:4] = np.eye(2)
@@ -160,10 +163,12 @@ class TestBuildCmuLp:
         expect_A[4:6, 2:4] = np.eye(2)
         expect_A[6:8, 0:2] = -mu
         expect_A[6:8, 2:4] = -np.eye(2)
-        assert lp.A_ub.shape == (8, 4)
+        expect_A[:, 4:6] = -expect_A[:, 2:4]
+        assert lp.A_ub.shape == (8, 6)
         assert np.max(np.abs(lp.A_ub - expect_A)) == 0.0
         assert np.max(np.abs(lp.b_ub - expect_b)) == 0.0
-        assert np.array_equal(lp.c, [1.0, 1.0, 0.0, 0.0])
+        assert np.array_equal(lp.c, [1.0, 1.0, 0.0, 0.0, 0.0, 0.0])
+        assert np.array_equal(lp.lower, np.zeros(6))
 
     def test_mu_zero_collapses_to_dantzig(self):
         rng = np.random.default_rng(11)
@@ -175,7 +180,7 @@ class TestBuildCmuLp:
         assert pair.status is LpStatus.OPTIMAL
         assert pair.objective_value == pytest.approx(dz.l1_norm, abs=1e-8)
         # u box collapses to zero
-        assert np.max(np.abs(pair.x[3:])) <= 1e-9
+        assert np.max(np.abs(pair.x[3:6] - pair.x[6:9])) <= 1e-9
 
     def test_free_domain_rejected(self):
         cfg = SelectorConfig(mu=0.1, tau=0.1, compensation=np.zeros(2),

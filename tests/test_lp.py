@@ -1,5 +1,6 @@
 """LP engine tests: hand cases, a vertex-enumeration oracle, determinism."""
 
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -9,7 +10,7 @@ from musel.estimators import SelectorConfig
 from musel.lp import (LinearProgram, LpStatus, _DualSimplex, check_solution,
                       solve_lp)
 
-from conftest import selector_instance
+from conftest import bounded_costs, in_contract, selector_instance
 from pair_lp import build_cmu_lp_direct
 
 
@@ -73,15 +74,6 @@ def assert_farkas(lp, y, tol=1e-9):
     assert y @ np.concatenate([lp.b_ub, lp.b_eq]) < box_min - tol
 
 
-def assert_ray(lp, ray, tol=1e-9):
-    """ray is a recession direction of the program along which c falls."""
-    assert lp.c @ ray < -tol
-    assert np.all(lp.A_ub @ ray <= tol)
-    assert np.all(np.abs(lp.A_eq @ ray) <= tol)
-    assert np.all(ray[np.isfinite(lp.lower)] >= -tol)
-    assert np.all(ray[np.isfinite(lp.upper)] <= tol)
-
-
 def test_single_variable_lower_bound():
     lp = LinearProgram(c=[1.0], A_ub=[[-1.0]], b_ub=[-1.0], lower=[0.0])
     sol = solve_lp(lp)
@@ -97,7 +89,7 @@ def test_infeasible_with_certificate():
     assert sol.status is LpStatus.INFEASIBLE
     assert sol.farkas_y is not None
     assert np.any(sol.farkas_y != 0.0)
-    assert sol.diagnostics["phase1_infeasibility"] > 0
+    assert sol.diagnostics["infeasibility"] > 0
     assert_farkas(lp, sol.farkas_y)
 
 
@@ -108,27 +100,11 @@ def test_two_variable_polygon_matches_vertex_oracle():
                        b_ub=[4.0, 2.0], lower=[0.0, 0.0], upper=[10.0, 10.0])
     status, best = vertex_enum_oracle(lp)
     assert status == "optimal" and best == pytest.approx(-8.0, abs=1e-9)
-    sol = solve_lp(lp)
+    lp2, offset, back = in_contract(lp)
+    sol = solve_lp(lp2)
     assert sol.status is LpStatus.OPTIMAL
-    assert sol.objective_value == pytest.approx(best, abs=1e-9)
-    assert np.allclose(sol.x, [0.0, 4.0], atol=1e-9)
-
-
-def test_unbounded_exposes_ray():
-    lp = LinearProgram(c=[-1.0], A_ub=[[-1.0]], b_ub=[0.0], lower=[0.0])
-    sol = solve_lp(lp)
-    assert sol.status is LpStatus.UNBOUNDED
-    assert sol.ray is not None and sol.ray[0] > 0
-    assert_ray(lp, sol.ray)
-
-
-def test_unbounded_free_variable_ray():
-    # x0 free, x1 >= 0: x0 - x1 <= 1 leaves x0 -> -inf open
-    lp = LinearProgram(c=[1.0, 0.5], A_ub=[[1.0, -1.0], [0.0, 1.0]],
-                       b_ub=[1.0, 4.0], lower=[-np.inf, 0.0])
-    sol = solve_lp(lp)
-    assert sol.status is LpStatus.UNBOUNDED
-    assert_ray(lp, sol.ray)
+    assert sol.objective_value + offset == pytest.approx(best, abs=1e-9)
+    assert np.allclose(back(sol.x), [0.0, 4.0], atol=1e-9)
 
 
 def test_equality_with_free_variable_split():
@@ -141,11 +117,12 @@ def test_equality_with_free_variable_split():
 
 
 def test_upper_bound_flip():
-    lp = LinearProgram(c=[-1.0], A_ub=[[1.0]], b_ub=[10.0],
-                       lower=[0.0], upper=[3.0])
-    sol = solve_lp(lp)
+    lp2, _, back = in_contract(LinearProgram(c=[-1.0], A_ub=[[1.0]],
+                                             b_ub=[10.0], lower=[0.0],
+                                             upper=[3.0]))
+    sol = solve_lp(lp2)
     assert sol.status is LpStatus.OPTIMAL
-    assert sol.x[0] == pytest.approx(3.0, abs=1e-12)
+    assert back(sol.x)[0] == pytest.approx(3.0, abs=1e-12)
 
 
 def test_nan_rejected():
@@ -157,11 +134,33 @@ def test_nan_rejected():
         LinearProgram(c=[1.0], lower=[np.nan])
 
 
+@pytest.mark.parametrize("c, lower, j", [
+    ([1.0, -0.5, -2.0], [0.0, 0.0, 0.0], 1),
+    ([1.0, 0.0, 2.0], [0.0, 0.0, -np.inf], 2),
+    ([1.0, 3.0, -1.0], [0.0, -np.inf, 0.0], 1),
+    ([1.0, 1.0, 1.0], None, 0),
+])
+def test_out_of_contract_lp_rejected(c, lower, j):
+    """solve_lp takes only c >= 0 and finite lower bounds, and names the
+    first variable that breaks either."""
+    lp = LinearProgram(c=c, A_ub=[[1.0, 1.0, 1.0]], b_ub=[1.0], lower=lower)
+    with pytest.raises(ValueError, match=rf"^variable {j}: solve_lp needs "
+                                         r"c_j >= 0 and a finite lower bound"):
+        solve_lp(lp)
+
+
+def test_negative_opt_tol_rejected():
+    lp = LinearProgram(c=[1.0], A_ub=[[-1.0]], b_ub=[-1.0], lower=[0.0])
+    with pytest.raises(ValueError, match="opt_tol"):
+        solve_lp(lp, opt_tol=-1e-9)
+
+
 def test_iteration_limit_status():
     rng = np.random.default_rng(0)
     A = rng.standard_normal((12, 8))
-    lp = LinearProgram(c=-np.ones(8), A_ub=A, b_ub=np.abs(A).sum(axis=1),
-                       lower=np.zeros(8), upper=np.full(8, 10.0))
+    lp, _, _ = in_contract(LinearProgram(
+        c=-np.ones(8), A_ub=A, b_ub=np.abs(A).sum(axis=1),
+        lower=np.zeros(8), upper=np.full(8, 10.0)))
     sol = solve_lp(lp, max_iters=1)
     assert sol.status is LpStatus.ITERATION_LIMIT
     assert sol.iterations <= 2
@@ -181,14 +180,16 @@ def test_random_small_lps_match_vertex_enumeration(seed):
     lp = LinearProgram(c=c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
                        lower=np.zeros(n), upper=np.full(n, 3.0))
     status, best = vertex_enum_oracle(lp)
-    sol = solve_lp(lp)
+    lp2, offset, back = in_contract(lp)
+    sol = solve_lp(lp2)
     if status == "infeasible":
         assert sol.status is LpStatus.INFEASIBLE
-        assert_farkas(lp, sol.farkas_y)
+        assert_farkas(lp2, sol.farkas_y)
     else:
         assert sol.status is LpStatus.OPTIMAL
-        assert sol.objective_value == pytest.approx(best, abs=1e-7)
-        assert check_solution(lp, sol) <= 1e-9
+        assert sol.objective_value + offset == pytest.approx(best, abs=1e-7)
+        assert check_solution(lp2, sol) <= 1e-9
+        assert check_solution(lp, replace(sol, x=back(sol.x))) <= 1e-9
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -200,9 +201,11 @@ def test_optimal_solutions_feasible(seed):
     b = A @ x0 + rng.random(m)          # x0 strictly feasible
     lp = LinearProgram(c=rng.standard_normal(n), A_ub=A, b_ub=b,
                        lower=np.zeros(n), upper=np.full(n, 5.0))
-    sol = solve_lp(lp)
+    lp2, _, back = in_contract(lp)
+    sol = solve_lp(lp2)
     assert sol.status is LpStatus.OPTIMAL
-    assert check_solution(lp, sol) <= 1e-9
+    assert check_solution(lp2, sol) <= 1e-9
+    assert check_solution(lp, replace(sol, x=back(sol.x))) <= 1e-9
 
 
 def test_determinism_bitwise():
@@ -210,8 +213,9 @@ def test_determinism_bitwise():
     n, m = 7, 9
     A = rng.standard_normal((m, n))
     b = A @ rng.random(n) + 0.5
-    lp = LinearProgram(c=rng.standard_normal(n), A_ub=A, b_ub=b,
-                       lower=np.zeros(n))
+    lp, _, _ = in_contract(LinearProgram(c=rng.standard_normal(n), A_ub=A,
+                                         b_ub=b, lower=np.zeros(n),
+                                         upper=np.full(n, 5.0)))
     s1 = solve_lp(lp)
     s2 = solve_lp(lp)
     assert s1.status is s2.status
@@ -220,22 +224,16 @@ def test_determinism_bitwise():
     assert s1.iterations == s2.iterations
 
 
-def test_debug_dump_env_flag(tmp_path, monkeypatch):
-    dump = tmp_path / "lp_dump.txt"
-    monkeypatch.setenv("MUSEL_LP_DEBUG", str(dump))
-    lp = LinearProgram(c=[1.0], A_ub=[[-1.0]], b_ub=[-1.0], lower=[0.0])
-    solve_lp(lp)
-    text = dump.read_text()
-    assert "vars=1" in text and "<=" in text
-
-
 def test_degenerate_lp_terminates():
-    # many redundant constraints through the origin force degenerate pivots
+    # many redundant constraints through the origin force degenerate pivots;
+    # the rows x <= 1 make the bounds x <= 1 redundant, so the reflection
+    # x -> 1 - x states the same LP
     n = 4
     rng = np.random.default_rng(9)
     A = np.vstack([rng.standard_normal((8, n)), np.eye(n)])
     b = np.concatenate([np.zeros(8), np.ones(n)])
-    lp = LinearProgram(c=-np.ones(n), A_ub=A, b_ub=b, lower=np.zeros(n))
+    lp, _, _ = in_contract(LinearProgram(c=-np.ones(n), A_ub=A, b_ub=b,
+                                         lower=np.zeros(n), upper=np.ones(n)))
     sol = solve_lp(lp)
     assert sol.status in (LpStatus.OPTIMAL, LpStatus.INFEASIBLE)
     if sol.status is LpStatus.OPTIMAL:
@@ -243,14 +241,16 @@ def test_degenerate_lp_terminates():
 
 
 def _rank_deficient_lp():
-    # rows 0 and 1 repeat, and so do columns 1 and 2
+    # rows 0 and 1 repeat, and so do columns 1 and 2 (the reflection of the
+    # three columns with negative costs keeps both repeats)
     A = np.array([[1.0, 2.0, 2.0, -1.0],
                   [1.0, 2.0, 2.0, -1.0],
                   [3.0, -1.0, -1.0, 1.0],
                   [-1.0, 0.5, 0.5, 2.0]])
-    return LinearProgram(c=[-1.0, -1.0, -1.0, 0.5], A_ub=A,
-                         b_ub=[4.0, 4.0, 3.0, 2.0],
-                         lower=np.zeros(4), upper=np.full(4, 3.0))
+    return in_contract(LinearProgram(c=[-1.0, -1.0, -1.0, 0.5], A_ub=A,
+                                     b_ub=[4.0, 4.0, 3.0, 2.0],
+                                     lower=np.zeros(4),
+                                     upper=np.full(4, 3.0)))[0]
 
 
 def test_rank_deficient_lp_matches_vertex_oracle():
@@ -263,21 +263,44 @@ def test_rank_deficient_lp_matches_vertex_oracle():
     assert check_solution(lp, sol) <= 1e-9
 
 
+def _engine_run(lp, basic, nonbasic_slacks):
+    """An engine for lp's <= rows started from the basis with the given
+    structural columns basic and the given rows' slacks nonbasic; returns
+    (engine, status of its run)."""
+    n, m = lp.n_vars, lp.A_ub.shape[0]
+    eng = _DualSimplex(lp.A_ub, 1e-9, 1e-9, 1000)
+    eng.is_basic[basic] = True
+    eng.is_basic[[n + i for i in nonbasic_slacks]] = False
+    c = np.concatenate([lp.c, np.zeros(m)])
+    lo = np.concatenate([lp.lower, np.zeros(m)])
+    up = np.concatenate([lp.upper, np.full(m, np.inf)])
+    return eng, eng.run(c, lp.b_ub, lo, up)
+
+
 def test_singular_basis_block_is_repaired():
     # start from a basis whose structural block holds both copies of the
     # repeated column: the block is singular and must be swapped for slacks
     lp = _rank_deficient_lp()
     _, best = vertex_enum_oracle(lp)
-    n, m = 4, 4
-    eng = _DualSimplex(lp.A_ub, 1e-9, 1e-9, 1000)
-    eng.is_basic[[1, 2]] = True
-    eng.is_basic[[n + 0, n + 2]] = False
-    c = np.concatenate([lp.c, np.zeros(m)])
-    lo = np.concatenate([lp.lower, np.zeros(m)])
-    up = np.concatenate([lp.upper, np.full(m, np.inf)])
-    assert eng.run(c, lp.b_ub, lo, up) is LpStatus.OPTIMAL
+    eng, status = _engine_run(lp, [1, 2], [0, 2])
+    assert status is LpStatus.OPTIMAL
     assert eng.repairs >= 1
-    assert lp.c @ eng.x[:n] == pytest.approx(best, abs=1e-9)
+    assert lp.c @ eng.x[:lp.n_vars] == pytest.approx(best, abs=1e-9)
+
+
+def test_dual_infeasible_basis_restarts_from_slacks():
+    # min x0 + 2 x1 over x0 + x1 >= 1, x0 - x1 <= 2, x >= 0: with x1 basic
+    # in row 0 the reduced cost of x0 is 1 - 2 = -1, and x0 has no upper
+    # bound to flip to, so the engine starts again from the all-slack basis
+    lp = LinearProgram(c=[1.0, 2.0], A_ub=[[-1.0, -1.0], [1.0, -1.0]],
+                       b_ub=[-1.0, 2.0], lower=[0.0, 0.0])
+    status, best = vertex_enum_oracle(lp)
+    assert status == "optimal" and best == pytest.approx(1.0, abs=1e-12)
+    eng, status = _engine_run(lp, [1], [0])
+    assert status is LpStatus.OPTIMAL
+    assert eng.restarts == 1
+    assert lp.c @ eng.x[:lp.n_vars] == pytest.approx(best, abs=1e-9)
+    assert solve_lp(lp).diagnostics["restarts"] == 0
 
 
 @pytest.mark.parametrize("lp, max_iters, status", [
@@ -285,10 +308,11 @@ def test_singular_basis_block_is_repaired():
      None, LpStatus.OPTIMAL),
     (LinearProgram(c=[1.0, 1.0], A_eq=[[1.0, 1.0]], b_eq=[-1.0],
                    lower=[0.0, 0.0]), None, LpStatus.INFEASIBLE),
-    (LinearProgram(c=[-1.0], A_ub=[[-1.0]], b_ub=[0.0], lower=[0.0]),
-     None, LpStatus.UNBOUNDED),
-    (LinearProgram(c=[-1.0, -1.0], A_ub=[[1.0, 2.0], [3.0, 1.0]],
-                   b_ub=[4.0, 6.0], lower=[0.0, 0.0]),
+    # the rows imply x <= 2, so the bounds and the reflection x -> 2 - x
+    # leave the LP as it was
+    (in_contract(LinearProgram(c=[-1.0, -1.0], A_ub=[[1.0, 2.0], [3.0, 1.0]],
+                               b_ub=[4.0, 6.0], lower=[0.0, 0.0],
+                               upper=[2.0, 2.0]))[0],
      1, LpStatus.ITERATION_LIMIT),
 ])
 def test_diagnostics_on_every_status(lp, max_iters, status):
@@ -297,6 +321,7 @@ def test_diagnostics_on_every_status(lp, max_iters, status):
     assert sol.diagnostics["refactors"] >= 1
     assert sol.diagnostics["updates"] >= 0
     assert sol.diagnostics["repairs"] == 0
+    assert sol.diagnostics["restarts"] == 0
 
 
 def _dense_state(eng, c, b, lo, up):
@@ -314,8 +339,9 @@ def _dense_state(eng, c, b, lo, up):
 def test_block_updates_match_fresh_factor(monkeypatch):
     """After every in-place update, and after every bound-flip shift, the
     kept inverse, x and d agree with a fresh factorization.  The LPs mix
-    boxed, one-sided and free variables, so all four block changes occur:
-    a structural or a slack leaves, a structural or a slack enters."""
+    boxed, one-sided and free variables (reflected and split into the
+    contract), so all four block changes occur: a structural or a slack
+    leaves, a structural or a slack enters."""
     run, update, move = _DualSimplex.run, _DualSimplex._update, _DualSimplex._move
     data, kinds, moves = {}, set(), []
 
@@ -348,14 +374,16 @@ def test_block_updates_match_fresh_factor(monkeypatch):
     monkeypatch.setattr(_DualSimplex, "_update", checked_update)
     monkeypatch.setattr(_DualSimplex, "_move", checked_move)
     rng = np.random.default_rng(0)
-    for _ in range(12):
+    for _ in range(20):
         n, m = int(rng.integers(4, 15)), int(rng.integers(3, 15))
         A = rng.standard_normal((m, n))
-        lp = LinearProgram(c=rng.standard_normal(n), A_ub=A,
-                           b_ub=A @ rng.random(n) + 0.5 * rng.standard_normal(m),
-                           lower=np.where(rng.random(n) < 0.2, -np.inf, 0.0),
-                           upper=np.where(rng.random(n) < 0.5, 3.0, np.inf))
-        solve_lp(lp)
+        c = rng.standard_normal(n)
+        b = A @ rng.random(n) + 0.5 * rng.standard_normal(m)
+        lower = np.where(rng.random(n) < 0.2, -np.inf, 0.0)
+        upper = np.where(rng.random(n) < 0.5, 3.0, np.inf)
+        solve_lp(in_contract(LinearProgram(c=bounded_costs(c, lower, upper),
+                                           A_ub=A, b_ub=b, lower=lower,
+                                           upper=upper))[0])
     assert len(kinds) == 4, kinds
     assert moves
 

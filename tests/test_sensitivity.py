@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from musel import sensitivity
-from musel.core import _project_to_cone, gram, pattern_search_min, coherence, re_constant_bruteforce
+from musel.core import gram, coherence
 from musel.lp import LinearProgram, LpStatus, solve_lp
 from musel.sensitivity import (BudgetExceededError, _enumerate_cones, c_q,
                                empirical_gram, in_cone, kappa_inf_exact,
@@ -17,6 +17,7 @@ from musel.sensitivity import (BudgetExceededError, _enumerate_cones, c_q,
                                theorem3_ci)
 
 from conftest import normalized_gram
+from re_oracle import pattern_search_min, project_to_cone, re_constant_bruteforce
 
 
 def grid_kappa_inf_2d(psi, J, resolution=2001):
@@ -45,7 +46,7 @@ def sphere_cone_min(psi, s, q, seed=0, n_starts=40):
         mask[list(J)] = True
 
         def fun(d, _m=mask):
-            d = _project_to_cone(d, _m)
+            d = project_to_cone(d, _m)
             nq = float(np.sum(np.abs(d) ** q) ** (1.0 / q))
             if nq < 1e-12:
                 return np.inf
@@ -525,6 +526,20 @@ class TestFailedLp:
                             "anchor=2) ended iteration_limit; "
                             "its minimum is unknown")
         assert len(solved) == 6
+
+    def test_kappa_star_relaxation_raises(self, lp_stops):
+        # p = 7 > STAR_EXACT_P_MAX: one relaxed LP, which used to read 0.0
+        psi = normalized_gram(7, 30, 5)
+        solved = lp_stops(1)
+        with pytest.raises(sensitivity.SensitivityLpError) as e:
+            kappa_star(psi, 2, 3)
+        err = e.value
+        assert (err.status, err.J, err.sigma, err.anchor) == (
+            LpStatus.ITERATION_LIMIT, None, None, 3)
+        assert str(err) == ("sensitivity LP (J=None, sigma=None, "
+                            "anchor=3) ended iteration_limit; "
+                            "its minimum is unknown")
+        assert len(solved) == 1
 
     def test_kappa_lower_bound_raises(self, third_lp_stops):
         psi = normalized_gram(4, 30, 3)
