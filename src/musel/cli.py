@@ -13,7 +13,7 @@ the selector LP or of a sensitivity LP); 4 sensitivity budget exceeded;
 
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import click
 
@@ -127,11 +127,6 @@ class _PresetChoice(click.Choice):
         return tuple(sorted(PRESETS))
 
 
-_SIM_KEYS = {"n", "p", "s_list", "theta_value", "noise_sd", "pi_star",
-             "delta_list", "tau_rule", "reps", "estimators", "fresh_design",
-             "pi_mode", "nonzero_threshold"}
-
-
 @cli.command()
 @click.option("--config", "config_path", type=click.Path(exists=True),
               default=None, help="JSON file with SimConfig overrides.")
@@ -156,11 +151,12 @@ def simulate(config_path, preset, seed, out, raw, md, fresh_design, workers):
     if config_path:
         with open(config_path) as fh:
             file_cfg = json.load(fh)
-        unknown = set(file_cfg) - _SIM_KEYS
+        keys = {f.name for f in fields(SimConfig)} - {"seed"}
+        unknown = set(file_cfg) - keys
         if unknown:
             raise click.UsageError(
                 f"unknown config key {sorted(unknown)[0]!r}; "
-                f"valid keys: {sorted(_SIM_KEYS)}")
+                f"valid keys: {sorted(keys)}")
         overrides.update(file_cfg)
     if fresh_design:
         overrides["fresh_design"] = True

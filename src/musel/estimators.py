@@ -115,7 +115,7 @@ def _direct_lp(G, c, mu, tau):
     n = G.shape[1]
     A = np.vstack([G - mu, -G - mu])
     b = np.concatenate([tau + c, tau - c])
-    return LinearProgram(c=np.ones(n), A_ub=A, b_ub=b, lower=np.zeros(n))
+    return LinearProgram(c=np.ones(n), A_ub=A, b_ub=b)
 
 
 def _make_estimate(theta, status, iterations, threshold, **kw):

@@ -58,9 +58,10 @@ class LpStatus(Enum):
 class LinearProgram:
     """min c@x  s.t.  A_ub@x <= b_ub,  A_eq@x == b_eq,  lower <= x <= upper.
 
-    Bounds may be +-inf.  All other data must be finite; NaN anywhere is
-    rejected at construction.  :func:`solve_lp` further needs c >= 0 and
-    finite lower bounds.
+    ``lower`` defaults to 0 and ``upper`` to +inf; bounds may be +-inf.
+    All other data must be finite; NaN anywhere is rejected at
+    construction.  :func:`solve_lp` further needs c >= 0 and finite lower
+    bounds.
     """
 
     c: np.ndarray
@@ -91,7 +92,7 @@ class LinearProgram:
 
         A_ub, b_ub = rows(self.A_ub, self.b_ub, "A_ub")
         A_eq, b_eq = rows(self.A_eq, self.b_eq, "A_eq")
-        lower = (np.full(n, -np.inf) if self.lower is None
+        lower = (np.zeros(n) if self.lower is None
                  else np.broadcast_to(np.asarray(self.lower, dtype=float), (n,)).copy())
         upper = (np.full(n, np.inf) if self.upper is None
                  else np.broadcast_to(np.asarray(self.upper, dtype=float), (n,)).copy())

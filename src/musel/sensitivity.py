@@ -5,15 +5,20 @@ in the union of cones C_J = {delta : |delta_{J^c}|_1 <= |delta_J|_1} with
 |J| <= s.  Because C_J grows with J, the minimum over |J| <= s is attained
 at |J| = s, so only size-s supports are enumerated.
 
-Exact values come from enumerating (support, sign pattern) pairs and
-solving a few small LPs per pair.  The delta -> -delta symmetry and the
-fact that a cone vector lies in the cone of its own s largest entries
-leave s*2^(s-1) anchor LPs per support for kappa_inf, and a relaxation LP
-per anchor bounds them all, so only the anchors whose bound can still win
-are enumerated; kappa_one is exact when its best LP optimum is a genuine
-unit-l1 vector, which it certifies.
+Every LP here has one variable layout, z = (a, b, t) over all p
+coordinates with delta = a - b, and the rows of ``_epigraph`` making t the
+epigraph of |Psi delta|_inf; a cone row (per support) or an l1 row (the
+anchor relaxations) is stacked on them, and signs, anchors and orthants
+are bounds on a and b.  Exact values come from enumerating (support, sign
+pattern) pairs and solving a few small LPs per pair.  The delta -> -delta
+symmetry and the fact that a cone vector lies in the cone of its own s
+largest entries leave s*2^(s-1) anchor LPs per support for kappa_inf, and a
+relaxation LP per anchor bounds them all, so only the anchors whose bound
+can still win are enumerated; kappa_one is exact when its best LP optimum
+is a genuine unit-l1 vector, which it certifies.
 A budget cap guards the combinatorial blow-up; past it, kappa_lower_bound
-provides a valid linear-programming lower bound for any p.
+provides a valid linear-programming lower bound for any p, and kappa_star
+past STAR_EXACT_P_MAX returns the same relaxations' bound.
 """
 
 import math
@@ -44,12 +49,13 @@ class SensitivityLpError(ValueError):
     """An enumerated LP ended other than OPTIMAL.
 
     Every such LP is feasible and bounded by construction (see
-    ``_enumerate_cones``, ``_anchor_bounds`` and ``kappa_star``), so any
-    other status is a solver failure, and skipping the LP could leave a
-    bound that is too high.  Carries the status, the support J and signs
-    sigma (None for the anchor relaxations of ``_anchor_bounds`` and
-    ``kappa_star``) and the anchor coordinate (None for the unit-mass LPs
-    of ``kappa_one``).
+    ``_enumerate_cones`` and ``_anchor_bounds``), so any other status is a
+    solver failure, and skipping the LP could leave a bound that is too
+    high.  Carries the status, the support J and signs sigma (None for the
+    anchor relaxations of ``_anchor_bounds``, which kappa_lower_bound,
+    kappa_inf_exact's bound pass and kappa_star past STAR_EXACT_P_MAX
+    solve) and the anchor coordinate (None for the unit-mass LPs of
+    ``kappa_one``).
     """
 
     def __init__(self, status, J, sigma, anchor):
@@ -109,14 +115,6 @@ def in_cone(delta, J, tol=1e-12):
     return bool(np.sum(np.abs(delta[~mask])) <= np.sum(np.abs(delta[mask])) + tol)
 
 
-def _delta_from_parts(p, J, sigma, v, a, b):
-    delta = np.zeros(p)
-    delta[list(J)] = sigma * v
-    Jc = [j for j in range(p) if j not in set(J)]
-    delta[Jc] = a - b
-    return delta
-
-
 def _check_s(p, s):
     if not 1 <= s <= p:
         raise ValueError(f"s must be in [1, {p}], got {s}")
@@ -129,20 +127,39 @@ def _check_budget(planned, budget_cap, message):
         raise BudgetExceededError(message.format(planned, budget_cap))
 
 
-def _enumerate_cones(psi, s, programs, supports=None):
+def _epigraph(psi):
+    """The rows [Psi, -Psi, -1] and [-Psi, Psi, -1] over z = (a, b, t):
+    with delta = a - b, z meets them (<= 0) iff t >= |Psi delta|_inf."""
+    t = -np.ones((psi.shape[0], 1))
+    return np.vstack([np.hstack([psi, -psi, t]), np.hstack([-psi, psi, t])])
+
+
+def _min_t(A, b, where, **rows):
+    """Solve min t over z = (a, b, t) with A z <= b and the LinearProgram
+    keywords ``rows``; raise SensitivityLpError(status, *where) unless the
+    solve ends OPTIMAL."""
+    obj = np.zeros(A.shape[1])
+    obj[-1] = 1.0
+    sol = solve_lp(LinearProgram(c=obj, A_ub=A, b_ub=b, **rows))
+    if sol.status is not LpStatus.OPTIMAL:
+        raise SensitivityLpError(sol.status, *where)
+    return sol
+
+
+def _enumerate_cones(psi, s, programs, box=1.0, supports=None):
     """Minimize over the cone LPs of size-s supports J and sign patterns.
 
-    Variables are z = [v (s), a (p-s), b (p-s), t] with delta_J = sigma*v,
-    delta_{J^c} = a - b and t the epigraph of |Psi delta|_inf.  J runs over
-    ``supports`` (default: every size-s support), which must be in
-    lexicographic order.  For each (J, sigma), in that order with sigma
-    from all +1 to all -1, ``programs(J, Jc, sigma)`` yields
-    (anchor, keywords): the coordinate the LP pins (or None) and the
-    LinearProgram keywords (equality rows, bounds) of each LP to solve over
-    the block rows [Psi_J sigma, Psi_Jc, -Psi_Jc | -1], their negation and
-    the cone row.  The block is built once per (J, sigma), and only if
-    ``programs`` yields an LP for it.  Returns (value, certificate, J,
-    sigma, lp_count) for the first strictly smallest value.
+    The rows of support J are ``_epigraph(psi)`` and the cone row
+    sum_{J^c}(a + b) - sum_J(a + b) <= 0.  J runs over ``supports``
+    (default: every size-s support), which must be in lexicographic order.
+    For each (J, sigma), in that order with sigma from all +1 to all -1,
+    ``programs(J, sigma, upper)`` yields (anchor, keywords): the
+    coordinate the LP pins (or None) and the LinearProgram keywords
+    (bounds, equality rows) of each LP to solve.  ``upper`` is ``box`` on
+    a and b and inf on t, with the sign holds: b_j at 0 where sigma_j = +1,
+    a_j at 0 where sigma_j = -1; a program that changes it copies it first.
+    Returns (value, certificate a - b, J, sigma, lp_count) for the first
+    strictly smallest value.
 
     Every LP of the three callers is feasible and bounded: delta = e_j for
     an anchor j in J (or any j in J when there is none), plus e_k when the
@@ -151,36 +168,27 @@ def _enumerate_cones(psi, s, programs, supports=None):
     So an LP that is not OPTIMAL raises SensitivityLpError, never skipped.
     """
     p = psi.shape[0]
-    k_j = p - s
-    obj = np.zeros(s + 2 * k_j + 1)
-    obj[-1] = 1.0
+    epigraph = _epigraph(psi)
     b = np.zeros(2 * p + 1)
-    cone = np.concatenate([-np.ones(s), np.ones(2 * k_j), [0.0]])
     best = np.inf
     best_cert = best_J = best_sigma = None
     lp_count = 0
     for J in combinations(range(p), s) if supports is None else supports:
-        Jc = [j for j in range(p) if j not in J]
+        cone = np.ones(2 * p + 1)
+        cone[list(J)] = cone[[p + j for j in J]] = -1.0
+        cone[-1] = 0.0
+        A = np.vstack([epigraph, cone])
         for sigma in product((1.0, -1.0), repeat=s):
             sigma = np.array(sigma)
-            A = None
-            for anchor, rows in programs(J, Jc, sigma):
-                if A is None:
-                    M = np.hstack([psi[:, list(J)] * sigma, psi[:, Jc],
-                                   -psi[:, Jc]])
-                    A = np.vstack([np.hstack([M, -np.ones((p, 1))]),
-                                   np.hstack([-M, -np.ones((p, 1))]),
-                                   cone])
-                sol = solve_lp(LinearProgram(c=obj, A_ub=A, b_ub=b, **rows))
+            upper = np.full(2 * p + 1, box)
+            upper[-1] = np.inf
+            upper[[j if sg < 0 else p + j for j, sg in zip(J, sigma)]] = 0.0
+            for anchor, rows in programs(J, sigma, upper):
+                sol = _min_t(A, b, (J, sigma, anchor), **rows)
                 lp_count += 1
-                if sol.status is not LpStatus.OPTIMAL:
-                    raise SensitivityLpError(sol.status, J, sigma, anchor)
                 if sol.objective_value < best:
                     best = sol.objective_value
-                    z = sol.x
-                    best_cert = _delta_from_parts(p, J, sigma, z[:s],
-                                                  z[s:s + k_j],
-                                                  z[s + k_j:s + 2 * k_j])
+                    best_cert = sol.x[:p] - sol.x[p:2 * p]
                     best_J, best_sigma = J, sigma
     return float(best), best_cert, best_J, best_sigma, lp_count
 
@@ -222,14 +230,13 @@ def kappa_inf_exact(psi, s, budget_cap=DEFAULT_BUDGET_CAP):
     _check_budget(math.comb(p, s) * s * 2 ** (s - 1) + (p if s > 1 else 0),
                   budget_cap, "exact enumeration needs ~{} LPs > cap {}; "
                   "use kappa_lower_bound")
-    upper = np.concatenate([np.ones(s + 2 * (p - s)), [np.inf]])
 
     def cone_lps(anchors):
-        def programs(J, Jc, sigma):
-            for pos, k in enumerate(J):
-                if sigma[pos] > 0 and k in anchors:
-                    lower = np.zeros_like(upper)
-                    lower[pos] = 1.0
+        def programs(J, sigma, upper):
+            for k, sign in zip(J, sigma):
+                if sign > 0 and k in anchors:
+                    lower = np.zeros(2 * p + 1)
+                    lower[k] = 1.0
                     yield k, {"lower": lower, "upper": upper}
         return programs
 
@@ -246,7 +253,7 @@ def kappa_inf_exact(psi, s, budget_cap=DEFAULT_BUDGET_CAP):
                 break
             value, z, J, sigma, n = _enumerate_cones(
                 psi, s, cone_lps((k,)),
-                [J for J in combinations(range(p), s) if k in J])
+                supports=[J for J in combinations(range(p), s) if k in J])
             lp_count += n
             key = (value, J, tuple(-sigma), k)
             if key < best:
@@ -261,33 +268,36 @@ def kappa_inf_exact(psi, s, budget_cap=DEFAULT_BUDGET_CAP):
 def kappa_one(psi, s, budget_cap=DEFAULT_BUDGET_CAP):
     """l1 sensitivity via the mass-split LP, one per (support, sign pattern).
 
-    With delta_{J^c} = a - b and unit mass 1'(v + a + b) = 1, every unit-l1
-    cone vector is feasible, so the least LP value is a lower bound.  If its
-    optimum has |delta|_1 = 1 (within 1e-9), no index has both a_j and b_j
-    positive, and delta is a unit cone vector attaining the bound: the
-    result is exact, with delta as certificate.  Otherwise it is a lower
-    bound without one.  For p <= ORTHANT_P_MAX each (J, sigma) is split
-    further into the 2^(p-s) sign orthants of J^c (a_j or b_j held at 0),
-    whose optima are all pair-free, so the result there is always exact.
+    With unit mass 1'(a + b) = 1, every unit-l1 cone vector is feasible, so
+    the least LP value is a lower bound.  If its optimum has |delta|_1 = 1
+    (within 1e-9), no index has both a_j and b_j positive, and delta is a
+    unit cone vector attaining the bound: the result is exact, with delta
+    as certificate.  Otherwise it is a lower bound without one.  For
+    p <= ORTHANT_P_MAX each (J, sigma) is split further into the 2^(p-s)
+    sign orthants of J^c (a_j or b_j held at 0), whose optima are all
+    pair-free, so the result there is always exact.  Swapping a and b maps
+    the LPs of -sigma (and the negated orthants) onto those of sigma with
+    the same values, so only the sign patterns with sigma_1 = +1 are
+    solved: C(p, s)*2^(s-1) LPs, or C(p, s)*2^(p-1) with orthants.
     """
     psi = check_gram(psi)
     p = psi.shape[0]
     _check_s(p, s)
     orthants = p <= ORTHANT_P_MAX
-    _check_budget(math.comb(p, s) * 2 ** (p if orthants else s), budget_cap,
-                  "exact enumeration needs ~{} LPs > cap {}; "
+    _check_budget(math.comb(p, s) * 2 ** ((p if orthants else s) - 1),
+                  budget_cap, "exact enumeration needs ~{} LPs > cap {}; "
                   "use kappa_lower_bound with kappa_q_from_inf")
+    mass = np.concatenate([np.ones(2 * p), [0.0]])[None, :]
 
-    def unit_mass(J, Jc, sigma):
-        k_j = len(Jc)
-        nv = s + 2 * k_j
-        # offset k_j holds b_j at 0 (delta_j >= 0), offset 0 holds a_j
-        for held in product((k_j, 0), repeat=k_j) if orthants else [()]:
-            upper = np.concatenate([np.ones(nv), [np.inf]])
-            upper[[s + off + pos for pos, off in enumerate(held)]] = 0.0
-            yield None, {"A_eq": np.concatenate([np.ones(nv), [0.0]])[None, :],
-                         "b_eq": [1.0], "lower": np.zeros(nv + 1),
-                         "upper": upper}
+    def unit_mass(J, sigma, upper):
+        if sigma[0] < 0:
+            return
+        Jc = [j for j in range(p) if j not in J]
+        # an orthant holds b_j (delta_j >= 0) or a_j at 0 for each j in J^c
+        for held in product((p, 0), repeat=len(Jc)) if orthants else [()]:
+            upper_o = upper.copy()
+            upper_o[[off + j for off, j in zip(held, Jc)]] = 0.0
+            yield None, {"A_eq": mass, "b_eq": [1.0], "upper": upper_o}
 
     t0 = time.perf_counter()
     best, cert, cert_J, _, lp_count = _enumerate_cones(psi, s, unit_mass)
@@ -313,14 +323,14 @@ def kappa_star(psi, s, k, budget_cap=DEFAULT_BUDGET_CAP):
     """Coordinate-wise sensitivity: min |Psi delta|_inf over cone vectors
     with delta_k = 1.
 
-    For p <= STAR_EXACT_P_MAX the (support, sign) enumeration solves the problem
-    exactly (the anchor pins the scale, so each subproblem is a plain LP
-    over unbounded cone variables).  For larger p a single relaxed LP is
-    solved over {delta_k = 1, |delta|_inf <= M, sum-split l1 <= 2sM,
-    1 <= M <= 2s}, a superset of the cone section as long as the M cap does
-    not bind; the result is flagged as a lower bound.  That LP is feasible
-    (delta = e_k, M = 1) and bounded (t >= 0), so one that is not OPTIMAL
-    raises SensitivityLpError(status, None, None, k).
+    For p <= STAR_EXACT_P_MAX the (support, sign) enumeration solves the
+    problem exactly: each cone LP holds a_k at 1 and b_k at 0 (skipping
+    the sign patterns that hold a_k at 0), over unbounded a and b.  For
+    larger p the result is min_j b_j over the p relaxations of
+    ``_anchor_bounds``, flagged as a lower bound: a delta in C_J with
+    delta_k = 1 has M = |delta|_inf >= 1, and +-delta/M, the sign making
+    its largest entry j equal to +1, is feasible for the relaxation of j,
+    so |Psi delta|_inf >= M*b_j >= min_j b_j.
     """
     psi = check_gram(psi)
     p = psi.shape[0]
@@ -329,64 +339,28 @@ def kappa_star(psi, s, k, budget_cap=DEFAULT_BUDGET_CAP):
         raise ValueError(f"coordinate k must be in [0, {p}), got {k}")
 
     t0 = time.perf_counter()
-    if p <= STAR_EXACT_P_MAX:
-        _check_budget(math.comb(p, s) * (2 ** s), budget_cap,
-                      "~{} LPs > cap {}")
-
-        def anchored(J, Jc, sigma):
-            if k in J and sigma[J.index(k)] < 0:
-                return
-            k_j = len(Jc)
-            anchor = np.zeros(s + 2 * k_j + 1)
-            if k in J:
-                anchor[J.index(k)] = 1.0
-            else:
-                pos = Jc.index(k)
-                anchor[s + pos] = 1.0
-                anchor[s + k_j + pos] = -1.0
-            yield k, {"A_eq": anchor[None, :], "b_eq": [1.0],
-                      "lower": np.zeros_like(anchor)}
-
-        value, cert, cert_J, _, lp_count = _enumerate_cones(psi, s, anchored)
-        return SensitivityResult(value=value, kind=KIND_EXACT, s=s, coord=k,
-                                 certificate=cert, certificate_J=cert_J,
-                                 lp_count=lp_count,
+    if p > STAR_EXACT_P_MAX:
+        return SensitivityResult(value=float(min(_anchor_bounds(psi, s))),
+                                 kind=KIND_LOWER_BOUND, s=s, coord=k,
+                                 lp_count=p,
                                  wall_time=time.perf_counter() - t0)
+    _check_budget(math.comb(p, s) * (2 ** s), budget_cap, "~{} LPs > cap {}")
 
-    # relaxed single LP: vars [a (p), b (p), M, t]
-    nv = 2 * p + 2
-    A_rows = []
-    b_rows = []
-    row = np.zeros(nv)
-    row[:2 * p] = 1.0
-    row[2 * p] = -2.0 * s
-    A_rows.append(row)                      # sum(a+b) <= 2sM
-    b_rows.append(0.0)
-    for j in range(p):
-        r1 = np.zeros(nv); r1[j] = 1.0; r1[2 * p] = -1.0
-        r2 = np.zeros(nv); r2[p + j] = 1.0; r2[2 * p] = -1.0
-        A_rows.extend([r1, r2])             # a_j <= M, b_j <= M
-        b_rows.extend([0.0, 0.0])
-    eps_pos = np.hstack([psi, -psi, np.zeros((p, 1)), -np.ones((p, 1))])
-    eps_neg = np.hstack([-psi, psi, np.zeros((p, 1)), -np.ones((p, 1))])
-    A = np.vstack([np.array(A_rows), eps_pos, eps_neg])
-    b = np.concatenate([b_rows, np.zeros(2 * p)])
-    anchor = np.zeros(nv)
-    anchor[k] = 1.0
-    anchor[p + k] = -1.0
-    obj = np.zeros(nv)
-    obj[-1] = 1.0
-    lower = np.zeros(nv)
-    lower[2 * p] = 1.0
-    upper = np.full(nv, np.inf)
-    upper[2 * p] = 2.0 * s
-    sol = solve_lp(LinearProgram(c=obj, A_ub=A, b_ub=b,
-                                 A_eq=anchor[None, :], b_eq=[1.0],
-                                 lower=lower, upper=upper))
-    if sol.status is not LpStatus.OPTIMAL:
-        raise SensitivityLpError(sol.status, None, None, k)
-    return SensitivityResult(value=sol.objective_value, kind=KIND_LOWER_BOUND,
-                             s=s, coord=k, lp_count=1,
+    def anchored(J, sigma, upper):
+        if k in J and sigma[J.index(k)] < 0:
+            return
+        lower = np.zeros(2 * p + 1)
+        lower[k] = 1.0
+        upper = upper.copy()
+        upper[k] = 1.0
+        upper[p + k] = 0.0
+        yield k, {"lower": lower, "upper": upper}
+
+    value, cert, cert_J, _, lp_count = _enumerate_cones(psi, s, anchored,
+                                                        box=np.inf)
+    return SensitivityResult(value=value, kind=KIND_EXACT, s=s, coord=k,
+                             certificate=cert, certificate_J=cert_J,
+                             lp_count=lp_count,
                              wall_time=time.perf_counter() - t0)
 
 
@@ -394,31 +368,23 @@ def _anchor_bounds(psi, s):
     """Values b_k of the relaxation LPs of the p anchors k, in order.
 
     The LP of anchor k minimizes the epigraph t of |Psi delta|_inf over
-    {delta_k = 1, |delta|_inf <= 1, |delta|_1 <= 2s}, with delta = a - b,
-    a, b in [0, 1] and b_k held at 0.  It is feasible (delta = e_k, as
-    1 <= 2s) and bounded (t >= 0), so one that is not OPTIMAL raises
+    {delta_k = 1, |delta|_inf <= 1, |delta|_1 <= 2s}: the l1 row
+    1'(a + b) <= 2s stacked on ``_epigraph(psi)``, a, b in [0, 1], a_k held
+    at 1 and b_k at 0.  It is feasible (delta = e_k, as 1 <= 2s) and
+    bounded (t >= 0), so one that is not OPTIMAL raises
     SensitivityLpError(status, None, None, k).
     """
     p = psi.shape[0]
-    nv = 2 * p + 1                           # a, b, t
-    l1row = np.concatenate([np.ones(2 * p), [0.0]])
-    Mpsi = np.hstack([psi, -psi, -np.ones((p, 1))])
-    Mneg = np.hstack([-psi, psi, -np.ones((p, 1))])
-    A = np.vstack([l1row, Mpsi, Mneg])
+    A = np.vstack([np.concatenate([np.ones(2 * p), [0.0]]), _epigraph(psi)])
     b = np.concatenate([[2.0 * s], np.zeros(2 * p)])
-    obj = np.zeros(nv)
-    obj[-1] = 1.0
     bounds = np.empty(p)
     for k in range(p):
-        lower = np.zeros(nv)
+        lower = np.zeros(2 * p + 1)
         upper = np.concatenate([np.ones(2 * p), [np.inf]])
         lower[k] = 1.0
         upper[p + k] = 0.0
-        sol = solve_lp(LinearProgram(c=obj, A_ub=A, b_ub=b,
-                                     lower=lower, upper=upper))
-        if sol.status is not LpStatus.OPTIMAL:
-            raise SensitivityLpError(sol.status, None, None, k)
-        bounds[k] = sol.objective_value
+        bounds[k] = _min_t(A, b, (None, None, k), lower=lower,
+                           upper=upper).objective_value
     return bounds
 
 

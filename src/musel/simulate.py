@@ -18,7 +18,9 @@ byte-identical across runs and across worker counts, and adding estimators
 never perturbs other cells.
 """
 
+import math
 from dataclasses import dataclass, field, asdict, replace
+from numbers import Real
 
 import numpy as np
 
@@ -46,14 +48,16 @@ DEFAULT_TAU_RULE = {"kind": "noise-calibrated", "mult": 0.4, "eps": 0.05}
 class SimConfig:
     """Experiment description.
 
-    tau_rule is either a number (fixed tau) or a dict
+    tau_rule is either a number >= 0 (fixed tau) or a dict
     {"kind": "noise-calibrated", "mult": m, "eps": e} giving
     tau = m * noise_sd * sqrt(2 * m2_hat * log(2p/e) / n) with m2_hat the
-    largest column mean-square of the observed (rescaled) design; the rule
-    is a documented artifact default, exposed precisely because it is a
-    knob.  pi_mode "known" uses pi_star everywhere; "estimated" estimates
-    it from the zero frequency and routes the compensated selector through
-    the masked-design feasible set.
+    largest column mean-square of the observed (rescaled) design; a
+    missing m or e takes DEFAULT_TAU_RULE's.  The rule is a documented
+    artifact default, exposed precisely because it is a knob; any other
+    tau_rule is rejected with ValueError.  pi_mode "known" uses pi_star
+    everywhere; "estimated" estimates it from the zero frequency and
+    routes the compensated selector through the masked-design feasible
+    set.
     """
 
     seed: int
@@ -85,6 +89,7 @@ class SimConfig:
         if self.pi_mode not in ("known", "estimated"):
             raise ValueError(f"pi_mode must be 'known' or 'estimated', "
                              f"got {self.pi_mode!r}")
+        object.__setattr__(self, "tau_rule", _check_tau_rule(self.tau_rule))
         object.__setattr__(self, "s_list", tuple(self.s_list))
         object.__setattr__(self, "delta_list", tuple(self.delta_list))
         object.__setattr__(self, "estimators", tuple(self.estimators))
@@ -170,16 +175,36 @@ def _delta_key(delta):
     return int(round(delta * 10 ** 9))
 
 
-def _tau_from_rule(rule, Z, noise_sd):
-    if isinstance(rule, (int, float)):
+def _check_tau_rule(rule):
+    """tau_rule as _tau_from_rule reads it: a fixed tau >= 0 as a float, or
+    the noise-calibrated dict with DEFAULT_TAU_RULE's mult and eps filling
+    in missing keys, as floats with mult >= 0 and eps > 0."""
+    def number(v):
+        return (isinstance(v, Real) and not isinstance(v, bool)
+                and math.isfinite(v))
+
+    if isinstance(rule, dict):
+        full = {**DEFAULT_TAU_RULE, **rule}
+        mult, eps = full["mult"], full["eps"]
+        if (full.keys() == DEFAULT_TAU_RULE.keys()
+                and rule.get("kind") == DEFAULT_TAU_RULE["kind"]
+                and number(mult) and number(eps) and mult >= 0 and eps > 0):
+            return {"kind": full["kind"], "mult": float(mult),
+                    "eps": float(eps)}
+    elif number(rule) and rule >= 0:
         return float(rule)
-    if isinstance(rule, dict) and rule.get("kind") == "noise-calibrated":
-        mult = float(rule.get("mult", 2.0))
-        eps = float(rule.get("eps", 0.05))
-        n, p = Z.shape
-        m2 = float(np.max((Z ** 2).mean(axis=0)))
-        return mult * noise_sd * np.sqrt(2.0 * m2 * np.log(2.0 * p / eps) / n)
-    raise ValueError(f"unrecognized tau_rule {rule!r}")
+    raise ValueError(f"tau_rule must be a number >= 0 or "
+                     f"{{\"kind\": \"noise-calibrated\", \"mult\": m >= 0, "
+                     f"\"eps\": e > 0}}, got {rule!r}")
+
+
+def _tau_from_rule(rule, Z, noise_sd):
+    if not isinstance(rule, dict):
+        return rule
+    n, p = Z.shape
+    m2 = float(np.max((Z ** 2).mean(axis=0)))
+    return rule["mult"] * noise_sd * np.sqrt(
+        2.0 * m2 * np.log(2.0 * p / rule["eps"]) / n)
 
 
 def _design_for(config, s, delta, rep):

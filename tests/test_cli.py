@@ -313,6 +313,31 @@ class TestSimulate:
         assert r.exit_code == 64
         assert "bogus_key" in r.output
 
+    @pytest.mark.parametrize("rule", [{"kind": "fixed"}, {"mult": 0.4},
+                                      {"kind": "noise-calibrated", "eps": 0},
+                                      -0.1, "0.02"])
+    def test_bad_tau_rule_is_usage_error(self, runner, tmp_path, rule):
+        cfg = self._cfg(tmp_path, tau_rule=rule)
+        out = tmp_path / "x.csv"
+        r = runner.invoke(cli, ["simulate", "--config", str(cfg),
+                                "--seed", "7", "--out", str(out)])
+        assert r.exit_code == 64, r.output
+        assert "tau_rule must be" in r.output
+        assert not out.exists()
+
+    def test_partial_tau_rule_takes_defaults(self, runner, tmp_path):
+        """A noise-calibrated rule without mult or eps runs as the default
+        rule: mult 0.4, eps 0.05."""
+        blobs = []
+        for kw in ({}, {"tau_rule": {"kind": "noise-calibrated"}}):
+            cfg = self._cfg(tmp_path, **kw)
+            out = tmp_path / f"t{len(blobs)}.csv"
+            r = runner.invoke(cli, ["simulate", "--config", str(cfg),
+                                    "--seed", "7", "--out", str(out)])
+            assert r.exit_code == 0, r.output
+            blobs.append(out.read_bytes())
+        assert blobs[0] == blobs[1]
+
     def test_preset_choices(self, runner, tmp_path):
         from musel.simulate import PRESETS
         r = runner.invoke(cli, ["simulate", "--help"])
@@ -404,7 +429,8 @@ class TestSensitivity:
         r = runner.invoke(cli, ["sensitivity", "--gram", str(tmp_path / "g.csv"),
                                 "--s", "2", "--q", "star:3", "--out", str(out)])
         assert r.exit_code == 3, r.output
-        assert "anchor=3) ended iteration_limit" in r.output
+        # p = 7: the first LP is anchor 0's relaxation
+        assert "anchor=0) ended iteration_limit" in r.output
         assert not out.exists()
 
     def test_lower_bound_path(self, runner, tmp_path, rng):

@@ -6,11 +6,13 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from musel import estimators, lp as lp_module, sensitivity
 from musel.estimators import SelectorConfig
 from musel.lp import (LinearProgram, LpStatus, _DualSimplex, check_solution,
                       solve_lp)
 
-from conftest import bounded_costs, in_contract, selector_instance
+from conftest import (bounded_costs, in_contract, normalized_gram,
+                      selector_instance)
 from pair_lp import build_cmu_lp_direct
 
 
@@ -138,7 +140,6 @@ def test_nan_rejected():
     ([1.0, -0.5, -2.0], [0.0, 0.0, 0.0], 1),
     ([1.0, 0.0, 2.0], [0.0, 0.0, -np.inf], 2),
     ([1.0, 3.0, -1.0], [0.0, -np.inf, 0.0], 1),
-    ([1.0, 1.0, 1.0], None, 0),
 ])
 def test_out_of_contract_lp_rejected(c, lower, j):
     """solve_lp takes only c >= 0 and finite lower bounds, and names the
@@ -147,6 +148,15 @@ def test_out_of_contract_lp_rejected(c, lower, j):
     with pytest.raises(ValueError, match=rf"^variable {j}: solve_lp needs "
                                          r"c_j >= 0 and a finite lower bound"):
         solve_lp(lp)
+
+
+def test_default_lower_solves():
+    """An omitted lower bound is 0, inside solve_lp's contract."""
+    lp = LinearProgram(c=[1.0, 1.0, 1.0], A_ub=[[1.0, 1.0, 1.0]], b_ub=[1.0])
+    assert np.array_equal(lp.lower, np.zeros(3))
+    sol = solve_lp(lp)
+    assert sol.status is LpStatus.OPTIMAL
+    assert sol.objective_value == 0.0 and np.array_equal(sol.x, np.zeros(3))
 
 
 def test_negative_opt_tol_rejected():
@@ -412,3 +422,24 @@ def test_refactors_follow_the_schedule():
     assert sol.status is LpStatus.OPTIMAL and sol.iterations > 64
     assert diag["refactors"] <= 2 + sol.iterations // 64 + diag["repairs"]
     assert diag["updates"] >= sol.iterations - diag["refactors"]
+
+
+def test_rejected_updates_refactor(lp_stops, monkeypatch):
+    """With every in-place update rejected, each pivot refactors instead,
+    and sensitivity and selector LPs end as with updates, bit for bit."""
+    solved = lp_stops(0)
+    sensitivity.kappa_inf_exact(normalized_gram(6, 20, 3), 2)
+    sensitivity.kappa_one(normalized_gram(5, 30, 0), 2)
+    _, _, y, Z = selector_instance(1, 40, 120, s=2)
+    G, c = estimators.selector_gram(Z / 0.9, y)
+    lps = list(solved) + [estimators._direct_lp(G, c, mu, 0.02)
+                          for mu in (0.0, 0.11)]
+    updated = [solve_lp(lp) for lp in lps]
+    assert sum(sol.diagnostics["updates"] for sol in updated) > 64
+    monkeypatch.setattr(lp_module, "_UPDATE_TOL", -1.0)
+    for lp, ref in zip(lps, updated):
+        sol = solve_lp(lp)
+        assert sol.diagnostics["updates"] == 0
+        assert sol.status is ref.status
+        assert sol.objective_value == ref.objective_value
+        assert np.array_equal(sol.x, ref.x)

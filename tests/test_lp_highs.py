@@ -105,20 +105,21 @@ def test_free_domain_orthant_lps(recorded):
         assert_agrees(lp, sol)
 
 
-# relaxations: how many of the LPs are anchor relaxations, the square LPs of
-# 2p+1 columns (a, b, t) and 2p+1 rows; the three Grams have p = 5, 5, 4
+# relaxations: how many of the LPs are anchor relaxations, those whose first
+# row is the l1 row 1'(a + b) <= 2s; the three Grams have p = 5, 5, 4
 @pytest.mark.parametrize("kappa, relaxations", [
     (lambda psi: sensitivity.kappa_inf_exact(psi, 2), 14),
     (lambda psi: sensitivity.kappa_one(psi, 2), 0),
     (lambda psi: sensitivity.kappa_lower_bound(psi, 2), 14),
-], ids=["kappa_inf_exact", "kappa_one", "kappa_lower_bound"])
+    (lambda psi: sensitivity.kappa_star(psi, 2, 1), 0),
+], ids=["kappa_inf_exact", "kappa_one", "kappa_lower_bound", "kappa_star"])
 def test_cone_lps(recorded, kappa, relaxations):
     pairs = recorded(sensitivity)
     kappa(normalized_gram(5, 30, 7))
     kappa(normalized_gram(5, 4, 8))          # rank-deficient Gram
     kappa(normalized_gram(4, 30, 3))         # kappa_one's sign orthants
     assert pairs
-    assert sum(lp.n_vars == lp.A_ub.shape[0] for lp, _ in pairs) == relaxations
+    assert sum(np.all(lp.A_ub[0, :-1] == 1.0) for lp, _ in pairs) == relaxations
     for lp, sol in pairs:
         assert_agrees(lp, sol)
 

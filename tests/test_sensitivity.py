@@ -60,28 +60,25 @@ def sphere_cone_min(psi, s, q, seed=0, n_starts=40):
     return best
 
 
-def anchor_lps(s, anchors, outside=True):
+def anchor_lps(p, anchors, outside=True):
     """``_enumerate_cones`` programs that force each coordinate of
-    ``anchors``, in order, to +1: inside J where sigma = +1 there, and (with
-    outside) outside J as a_k = 1, b_k = 0."""
-    def programs(J, Jc, sigma):
-        k_j = len(Jc)
-        nv = s + 2 * k_j
+    ``anchors``, in order, to +1: inside J where sigma = +1 there (a_k = 1,
+    b_k held by the sign), and (with outside) outside J as a_k = 1,
+    b_k = 0."""
+    def programs(J, sigma, upper):
         for anchor in anchors:
-            lower = np.zeros(nv + 1)
-            upper = np.concatenate([np.ones(nv), [np.inf]])
+            held = upper
             if anchor in J:
-                pos = J.index(anchor)
-                if sigma[pos] < 0:
+                if sigma[J.index(anchor)] < 0:
                     continue
-                lower[pos] = 1.0
             elif outside:
-                pos = Jc.index(anchor)
-                lower[s + pos] = 1.0
-                upper[s + k_j + pos] = 0.0
+                held = upper.copy()
+                held[p + anchor] = 0.0
             else:
                 continue
-            yield anchor, {"lower": lower, "upper": upper}
+            lower = np.zeros(2 * p + 1)
+            lower[anchor] = 1.0
+            yield anchor, {"lower": lower, "upper": held}
     return programs
 
 
@@ -91,7 +88,7 @@ def kappa_inf_all_anchors(psi, s, outside=True):
     in turn.  Returns (value, certificate, J) of the first strictly smallest
     LP in (J, sigma, anchor) order."""
     value, cert, J, _, _ = _enumerate_cones(
-        psi, s, anchor_lps(s, range(psi.shape[0]), outside))
+        psi, s, anchor_lps(psi.shape[0], range(psi.shape[0]), outside))
     return value, cert, J
 
 
@@ -215,7 +212,7 @@ class TestKappaInf:
         psi = normalized_gram(p, 20, 900 + 10 * p + s)
         bounds = sensitivity._anchor_bounds(psi, s)
         for k in range(p):
-            exact = _enumerate_cones(psi, s, anchor_lps(s, [k]))[0]
+            exact = _enumerate_cones(psi, s, anchor_lps(p, [k]))[0]
             assert bounds[k] <= exact + 1e-12
 
     @pytest.mark.parametrize("p, n, s", [(4, 30, 2), (6, 4, 3), (8, 16, 2),
@@ -285,6 +282,16 @@ class TestKappaOne:
         if p <= 4:
             assert r.kind == "exact"
 
+    @pytest.mark.parametrize("p, s", [(4, 2), (6, 2)])
+    def test_lp_count_is_budget(self, p, s):
+        """Only the sign patterns with sigma_1 = +1 are solved: C(p, s) *
+        2^(s-1) LPs, or C(p, s) * 2^(p-1) with sign orthants (p <= 4)."""
+        psi = normalized_gram(p, 30, 0)
+        r = kappa_one(psi, s)
+        assert r.lp_count == math.comb(p, s) * 2 ** ((p if p <= 4 else s) - 1)
+        with pytest.raises(BudgetExceededError):
+            kappa_one(psi, s, budget_cap=r.lp_count - 1)
+
     def test_smaller_support_never_below(self):
         # enumerating |J| = s only is valid: cones nest, so the value is
         # nonincreasing in s and the |J| <= s minimum is attained at |J| = s
@@ -338,6 +345,22 @@ class TestKappaStar:
         relaxed = kappa_star(psi, 1, 2)
         assert exact.kind == "exact" and relaxed.kind == "lower_bound"
         assert relaxed.value <= exact.value + 1e-8
+
+    def test_relaxed_bound_below_large_cone_vector(self):
+        """Past STAR_EXACT_P_MAX the bound holds for cone vectors whose
+        entries far exceed delta_k = 1: on the rank-one Gram v v' with
+        v = (1, -0.1, 0, ...), delta = (1, 10, 0, ...) lies in C_{1} and
+        Psi delta vanishes up to rounding."""
+        v = np.zeros(8)
+        v[:2] = (1.0, -0.1)
+        psi = np.outer(v, v)
+        delta = np.zeros(8)
+        delta[:2] = (1.0, 10.0)
+        assert in_cone(delta, [1])
+        attained = float(np.max(np.abs(psi @ delta)))
+        r = kappa_star(psi, 1, 0)
+        assert r.value <= attained
+        assert r.kind == "lower_bound" and r.lp_count == 8
 
 
 class TestKappaLowerBound:
@@ -528,16 +551,17 @@ class TestFailedLp:
         assert len(solved) == 6
 
     def test_kappa_star_relaxation_raises(self, lp_stops):
-        # p = 7 > STAR_EXACT_P_MAX: one relaxed LP, which used to read 0.0
+        # p = 7 > STAR_EXACT_P_MAX: the p anchor relaxations, of which the
+        # first, anchor 0's, stops whatever coordinate is asked for
         psi = normalized_gram(7, 30, 5)
         solved = lp_stops(1)
         with pytest.raises(sensitivity.SensitivityLpError) as e:
             kappa_star(psi, 2, 3)
         err = e.value
         assert (err.status, err.J, err.sigma, err.anchor) == (
-            LpStatus.ITERATION_LIMIT, None, None, 3)
+            LpStatus.ITERATION_LIMIT, None, None, 0)
         assert str(err) == ("sensitivity LP (J=None, sigma=None, "
-                            "anchor=3) ended iteration_limit; "
+                            "anchor=0) ended iteration_limit; "
                             "its minimum is unknown")
         assert len(solved) == 1
 
