@@ -83,24 +83,28 @@ def estimate(design, response, mode, mu_, tau, pi, est_pi, domain, dhat,
     Z = _load(design, header, mio.read_matrix)
     y = _load(response, header, mio.read_vector)
 
-    if mode == "missing":
-        if (pi is None) == (not est_pi):
-            raise click.UsageError(
-                "missing mode needs exactly one of --pi or --estimate-pi")
-        cfg = SelectorConfig(mu=mu_, tau=tau, domain=domain)
-        est = solve_missing_data_cmu(Z, y, pi=pi, config=cfg, path=mpath)
-    elif mode == "cmu":
-        if dhat is None:
-            raise click.UsageError(
-                "cmu mode needs --dhat (or use --mode missing with --pi)")
-        comp = _load(dhat, header, mio.read_vector)
-        cfg = SelectorConfig(mu=mu_, tau=tau, domain=domain, compensation=comp)
-        est = solve_compensated_mu(Z, y, cfg)
-    elif mode == "mu":
-        est = solve_mu_selector(Z, y, SelectorConfig(mu=mu_, tau=tau,
-                                                     domain=domain))
-    else:
-        est = solve_dantzig(Z, y, tau, domain=domain)
+    try:
+        if mode == "missing":
+            if (pi is None) == (not est_pi):
+                raise click.UsageError(
+                    "missing mode needs exactly one of --pi or --estimate-pi")
+            cfg = SelectorConfig(mu=mu_, tau=tau, domain=domain)
+            est = solve_missing_data_cmu(Z, y, pi=pi, config=cfg, path=mpath)
+        elif mode == "cmu":
+            if dhat is None:
+                raise click.UsageError(
+                    "cmu mode needs --dhat (or use --mode missing with --pi)")
+            comp = _load(dhat, header, mio.read_vector)
+            cfg = SelectorConfig(mu=mu_, tau=tau, domain=domain,
+                                 compensation=comp)
+            est = solve_compensated_mu(Z, y, cfg)
+        elif mode == "mu":
+            est = solve_mu_selector(Z, y, SelectorConfig(mu=mu_, tau=tau,
+                                                         domain=domain))
+        else:
+            est = solve_dantzig(Z, y, tau, domain=domain)
+    except ValueError as e:
+        raise click.UsageError(str(e))
 
     payload = {
         "theta": [float(v) for v in est.theta],

@@ -10,14 +10,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_DIM_CAP = 2000
+DIM_CAP = 2000          # most columns a matrix may have
+SYM_RTOL = 1e-12        # Gram asymmetry allowed, relative to max(1, |psi|)
+CONSTANT_TOL = 1e-12    # column standard deviation of a constant column
+UNIT_DIAG_TOL = 1e-8    # |psi_jj - 1| that coherence accepts as unit
 
 
-def as_matrix(a, name="matrix", dim_cap=DEFAULT_DIM_CAP):
+def as_matrix(a, name="matrix"):
     """Validate and return a 2-D float64 array with finite entries.
 
-    dim_cap limits the column count p (dense storage stays cheap); the row
-    count is unconstrained.
+    At most DIM_CAP columns (dense storage stays cheap); the row count is
+    unconstrained.
     """
     M = np.asarray(a, dtype=float)
     if M.ndim != 2:
@@ -26,8 +29,8 @@ def as_matrix(a, name="matrix", dim_cap=DEFAULT_DIM_CAP):
         raise ValueError(f"{name}: zero-sized dimension {M.shape}")
     if not np.all(np.isfinite(M)):
         raise ValueError(f"{name}: non-finite entries rejected")
-    if M.shape[1] > dim_cap:
-        raise ValueError(f"{name}: {M.shape[1]} columns exceed cap {dim_cap}")
+    if M.shape[1] > DIM_CAP:
+        raise ValueError(f"{name}: {M.shape[1]} columns exceed cap {DIM_CAP}")
     return M
 
 
@@ -43,14 +46,14 @@ def as_vector(a, name="vector"):
     return v
 
 
-def check_gram(psi, sym_rtol=1e-12, name="psi"):
-    """Validate a symmetric p x p Gram matrix."""
+def check_gram(psi, name="psi"):
+    """Validate a p x p Gram matrix, symmetric within SYM_RTOL."""
     psi = as_matrix(psi, name)
     if psi.shape[0] != psi.shape[1]:
         raise ValueError(f"{name}: must be square, got {psi.shape}")
     scale = max(1.0, float(np.max(np.abs(psi))))
-    if np.max(np.abs(psi - psi.T)) > sym_rtol * scale:
-        raise ValueError(f"{name}: not symmetric within rtol {sym_rtol}")
+    if np.max(np.abs(psi - psi.T)) > SYM_RTOL * scale:
+        raise ValueError(f"{name}: not symmetric within rtol {SYM_RTOL}")
     return psi
 
 
@@ -87,30 +90,30 @@ def gram(X, diag=None):
     return G
 
 
-def normalize_design(X, tol=1e-12):
+def normalize_design(X):
     """Center each column and scale it so the Gram diagonal equals 1.
 
-    Raises on constant columns (zero variance), naming the first offending
-    column index.
+    Raises on constant columns (standard deviation <= CONSTANT_TOL), naming
+    the first offending column index.
     """
     X = as_matrix(X, "X")
     centered = X - X.mean(axis=0)
     scale = np.sqrt((centered ** 2).mean(axis=0))
-    bad = np.nonzero(scale <= tol)[0]
+    bad = np.nonzero(scale <= CONSTANT_TOL)[0]
     if bad.size:
         raise ValueError(f"column {bad[0]} is constant and cannot be normalized")
     return centered / scale
 
 
-def coherence(psi, diag_tol=1e-8):
+def coherence(psi):
     """Largest absolute off-diagonal Gram entry.
 
-    Requires a unit diagonal (within diag_tol), since the coherence bound is
-    only meaningful for normalized designs.
+    Requires a unit diagonal (within UNIT_DIAG_TOL), since the coherence
+    bound is only meaningful for normalized designs.
     """
     psi = check_gram(psi)
     d = np.diag(psi)
-    if np.max(np.abs(d - 1.0)) > diag_tol:
+    if np.max(np.abs(d - 1.0)) > UNIT_DIAG_TOL:
         j = int(np.argmax(np.abs(d - 1.0)))
         raise ValueError(f"coherence requires unit diagonal; psi[{j},{j}]={d[j]!r}")
     p = psi.shape[0]

@@ -26,11 +26,12 @@ LPs with the signs of theta fixed; a larger p is reported INFEASIBLE.
 
 from dataclasses import dataclass, replace
 from itertools import product
+from typing import ClassVar
 
 import numpy as np
 
 from .core import as_matrix, as_vector, gram
-from .lp import LinearProgram, LpStatus, solve_lp
+from .lp import DEFAULT_FEAS_TOL, LinearProgram, LpStatus, solve_lp
 from .missing import MaskedDesign, check_no_dead_columns, estimate_pi, rescale, sigma_hat
 
 ORTHANT_P_MAX = 6       # largest p whose paired optimum falls back to orthants
@@ -38,11 +39,14 @@ ORTHANT_P_MAX = 6       # largest p whose paired optimum falls back to orthants
 
 @dataclass(frozen=True)
 class SelectorConfig:
-    """Selector constants and solver settings.
+    """Selector constants.
 
     mu scales the |theta|_1 slack in the constraint; tau is the absolute
     slack; compensation is the diagonal Dhat as a length-p vector (None
-    means no compensation).  domain is "nonneg" or "free".
+    means no compensation).  domain is "nonneg" or "free".  The LPs use
+    the solver's fixed tolerances; ``feas_tol``, a class constant, is its
+    bound tolerance, which ``feasibility_check`` and the free-domain pair
+    test apply as well.
     """
 
     mu: float
@@ -50,9 +54,7 @@ class SelectorConfig:
     compensation: np.ndarray = None
     domain: str = "nonneg"
     nonzero_threshold: float = 1e-8
-    feas_tol: float = 1e-9
-    opt_tol: float = 1e-9
-    max_iters: int = None
+    feas_tol: ClassVar[float] = DEFAULT_FEAS_TOL
 
     def __post_init__(self):
         if not (np.isfinite(self.mu) and self.mu >= 0):
@@ -126,9 +128,7 @@ def _make_estimate(theta, status, iterations, threshold, **kw):
 
 
 def _solve_nonneg(G, c, config):
-    lp = _direct_lp(G, c, config.mu, config.tau)
-    sol = solve_lp(lp, feas_tol=config.feas_tol, opt_tol=config.opt_tol,
-                   max_iters=config.max_iters)
+    sol = solve_lp(_direct_lp(G, c, config.mu, config.tau))
     theta = sol.x if sol.status is LpStatus.OPTIMAL else np.zeros(G.shape[0])
     return _make_estimate(theta, sol.status, sol.iterations,
                           config.nonzero_threshold)
@@ -143,9 +143,7 @@ def _solve_free(G, c, config):
     otherwise the result is INFEASIBLE with theta = 0.
     """
     p = G.shape[0]
-    sol = solve_lp(_direct_lp(np.hstack([G, -G]), c, config.mu, config.tau),
-                   feas_tol=config.feas_tol, opt_tol=config.opt_tol,
-                   max_iters=config.max_iters)
+    sol = solve_lp(_direct_lp(np.hstack([G, -G]), c, config.mu, config.tau))
     theta, status = np.zeros(p), sol.status
     if status is LpStatus.OPTIMAL:
         split = float(np.sum(sol.x))
@@ -166,9 +164,7 @@ def _solve_orthants(G, c, config, iterations):
     p = G.shape[0]
     best, theta, status = np.inf, np.zeros(p), LpStatus.INFEASIBLE
     for rounds, sigma in enumerate(product((1.0, -1.0), repeat=p), start=2):
-        sol = solve_lp(_direct_lp(G * sigma, c, config.mu, config.tau),
-                       feas_tol=config.feas_tol, opt_tol=config.opt_tol,
-                       max_iters=config.max_iters)
+        sol = solve_lp(_direct_lp(G * sigma, c, config.mu, config.tau))
         iterations += sol.iterations
         if sol.status is LpStatus.OPTIMAL and sol.objective_value < best:
             best, theta, status = sol.objective_value, sigma * sol.x, sol.status
@@ -210,11 +206,11 @@ def solve_mu_selector(Z, y, config):
     return solve_compensated_mu(Z, y, cfg)
 
 
-def solve_dantzig(Z, y, tau, domain="nonneg", **kwargs):
+def solve_dantzig(Z, y, tau, domain="nonneg"):
     """Dantzig selector: the compensated solver with mu = 0 and Dhat = 0."""
     p = as_matrix(Z, "Z").shape[1]
     cfg = SelectorConfig(mu=0.0, tau=tau, compensation=np.zeros(p),
-                         domain=domain, **kwargs)
+                         domain=domain)
     return solve_compensated_mu(Z, y, cfg)
 
 

@@ -28,6 +28,10 @@ ones, entering columns by a bound-flipping ratio test with Harris's
 tolerance.  Ties break toward the lowest variable index and a dual
 Bland rule takes over after a run of degenerate pivots, so repeated solves
 of the same problem are bitwise reproducible.
+
+Every solve uses the same tolerances, 1e-9 on bound violations
+(``DEFAULT_FEAS_TOL``) and on reduced costs (``DEFAULT_OPT_TOL``); the
+iteration limit is the only setting a caller passes.
 """
 
 from dataclasses import dataclass, field
@@ -153,11 +157,9 @@ class _DualSimplex:
     row disagree on, and before any verdict is returned.
     """
 
-    def __init__(self, A, feas_tol, opt_tol, max_iters):
+    def __init__(self, A, max_iters):
         self.A = A
         self.m, self.n = A.shape
-        self.feas_tol = feas_tol
-        self.opt_tol = opt_tol
         self.max_iters = max_iters
         self.a_max = max(A.max(initial=0.0), -A.min(initial=0.0))
         self.is_basic = np.zeros(self.n + self.m, dtype=bool)
@@ -225,16 +227,17 @@ class _DualSimplex:
         self.pos[S] = self.pos[n + R] = np.arange(S.size)
         return S, R, Kinv
 
-    def _flips(self, otol, inf_up):
+    def _flips(self, inf_up):
         """Nonbasic variables whose reduced cost favours their other bound,
         or None when one of them has no bound there: only a variable at its
         lower bound can lack one, as every lower bound is finite."""
-        flip = (np.where(self.at_upper, self.d, -self.d) > otol).nonzero()[0]
+        d = np.where(self.at_upper, self.d, -self.d)
+        flip = (d > DEFAULT_OPT_TOL).nonzero()[0]
         if flip.size and np.any(inf_up[flip]):
             return None
         return flip
 
-    def _recompute(self, c, b, lo, up, otol, inf_up):
+    def _recompute(self, c, b, lo, up, inf_up):
         """Refactor, then d and x from the fresh factor; False when a
         reduced cost has the wrong sign and no bound to flip to."""
         A, n = self.A, self.n
@@ -250,7 +253,7 @@ class _DualSimplex:
         self.d = d
 
         # a nonbasic variable sits at the bound its reduced cost favours
-        flip = self._flips(otol, inf_up)
+        flip = self._flips(inf_up)
         if flip is None:
             return False
         self.at_upper[flip] = ~self.at_upper[flip]
@@ -372,7 +375,6 @@ class _DualSimplex:
         """Pivot until OPTIMAL, INFEASIBLE or ITERATION_LIMIT, with c >= 0
         and lo finite.  Every verdict is read off a fresh factor."""
         A, n = self.A, self.n
-        otol, htol, ftol = self.opt_tol, 0.5 * self.opt_tol, self.feas_tol
         inf_up = np.isinf(up)
         fixed = (up == lo).nonzero()[0]
         bland_after = 50 + 2 * self.m
@@ -380,7 +382,7 @@ class _DualSimplex:
         updated = None          # updates since the last factor; None: refactor
         while True:
             if updated is None:
-                if not self._recompute(c, b, lo, up, otol, inf_up):
+                if not self._recompute(c, b, lo, up, inf_up):
                     # rounding broke dual feasibility: start again from the
                     # all-slack basis, where the reduced costs are c >= 0
                     self.is_basic[:n] = False
@@ -393,7 +395,7 @@ class _DualSimplex:
 
             # nonbasic variables sit on a bound, so only basic ones violate
             viol = np.maximum(lo - x, x - up)
-            cand = (viol > ftol).nonzero()[0]
+            cand = (viol > DEFAULT_FEAS_TOL).nonzero()[0]
             if not cand.size or self.iters >= self.max_iters:
                 if updated:
                     updated = None
@@ -466,7 +468,7 @@ class _DualSimplex:
                     reach = np.cumsum(abs_a[order] * span[order])
                     rest = order[min(int(np.searchsorted(reach, viol[r])), order.size - 1):]
                 # Harris: the largest pivot among steps within the relaxed bound
-                bound = np.min((slack_d[rest] + htol) / abs_a[rest])
+                bound = np.min((slack_d[rest] + 0.5 * DEFAULT_OPT_TOL) / abs_a[rest])
                 within = np.sort(rest[ratio[rest] <= bound])
                 pos = int(within[np.argmax(abs_a[within])])
             q = int(J[pos])
@@ -476,7 +478,7 @@ class _DualSimplex:
             target = lo[r] if sigma > 0 else up[r]
             if updated < _REFACTOR_EVERY and self._update(q, r, sigma, target, a, rho):
                 updated += 1
-                flip = self._flips(otol, inf_up)
+                flip = self._flips(inf_up)
                 if flip is None:
                     updated = None
                 elif flip.size:
@@ -489,14 +491,13 @@ class _DualSimplex:
                 updated = None
 
 
-def solve_lp(lp, feas_tol=DEFAULT_FEAS_TOL, opt_tol=DEFAULT_OPT_TOL,
-             max_iters=None):
+def solve_lp(lp, max_iters=None):
     """Solve a :class:`LinearProgram` with costs >= 0 and finite lower bounds.
 
     Raises ValueError naming the first variable with ``c_j < 0`` or
-    ``lower_j = -inf``, and for ``opt_tol < 0``, under which no basis would
-    be dual feasible.  Deterministic: identical input yields a
-    bitwise-identical solution.  ``max_iters`` defaults to
+    ``lower_j = -inf``.  The tolerances are fixed: ``DEFAULT_FEAS_TOL`` on
+    bounds, ``DEFAULT_OPT_TOL`` on reduced costs.  Deterministic: identical
+    input yields a bitwise-identical solution.  ``max_iters`` defaults to
     ``50 * (n_vars + n_constraints)`` and counts every pivot, those before
     a restart included.  INFEASIBLE carries a Farkas vector ``farkas_y``
     over the rows (``<=`` rows first) and, in
@@ -514,8 +515,6 @@ def solve_lp(lp, feas_tol=DEFAULT_FEAS_TOL, opt_tol=DEFAULT_OPT_TOL,
         raise ValueError(f"variable {j}: solve_lp needs c_j >= 0 and a finite "
                          f"lower bound, got c_j = {lp.c[j]!r}, "
                          f"lower_j = {lp.lower[j]!r}")
-    if not opt_tol >= 0.0:
-        raise ValueError(f"opt_tol must be >= 0, got {opt_tol!r}")
 
     n = lp.n_vars
     m1 = lp.A_ub.shape[0]
@@ -528,7 +527,7 @@ def solve_lp(lp, feas_tol=DEFAULT_FEAS_TOL, opt_tol=DEFAULT_OPT_TOL,
     lo = np.concatenate([lp.lower, np.zeros(m)])
     up = np.concatenate([lp.upper, np.full(m1, np.inf), np.zeros(m - m1)])
 
-    eng = _DualSimplex(A, feas_tol, opt_tol, max_iters)
+    eng = _DualSimplex(A, max_iters)
     with np.errstate(all="ignore"):
         status = eng.run(c, b, lo, up)
 
@@ -543,7 +542,7 @@ def solve_lp(lp, feas_tol=DEFAULT_FEAS_TOL, opt_tol=DEFAULT_OPT_TOL,
                       diagnostics=diagnostics)
 
 
-def check_solution(lp, sol, feas_tol=DEFAULT_FEAS_TOL):
+def check_solution(lp, sol):
     """Max constraint/bound violation of an LpSolution against its program."""
     x = sol.x
     viol = 0.0

@@ -18,12 +18,12 @@ can still win are enumerated; kappa_one is exact when its best LP optimum
 is a genuine unit-l1 vector, which it certifies.
 A budget cap guards the combinatorial blow-up; past it, kappa_lower_bound
 provides a valid linear-programming lower bound for any p, and kappa_star
-past STAR_EXACT_P_MAX returns the same relaxations' bound.
+past STAR_EXACT_P_MAX returns that bound for every coordinate.
 """
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations, product
 
 import numpy as np
@@ -52,10 +52,10 @@ class SensitivityLpError(ValueError):
     ``_enumerate_cones`` and ``_anchor_bounds``), so any other status is a
     solver failure, and skipping the LP could leave a bound that is too
     high.  Carries the status, the support J and signs sigma (None for the
-    anchor relaxations of ``_anchor_bounds``, which kappa_lower_bound,
-    kappa_inf_exact's bound pass and kappa_star past STAR_EXACT_P_MAX
-    solve) and the anchor coordinate (None for the unit-mass LPs of
-    ``kappa_one``).
+    anchor relaxations of ``_anchor_bounds``, which kappa_inf_exact solves
+    first at every s, and kappa_lower_bound, hence kappa_star past
+    STAR_EXACT_P_MAX, solves alone) and the anchor coordinate (None for
+    the unit-mass LPs of ``kappa_one``).
     """
 
     def __init__(self, status, J, sigma, anchor):
@@ -205,60 +205,52 @@ def kappa_inf_exact(psi, s, budget_cap=DEFAULT_BUDGET_CAP):
     and J' holds the anchor; the delta -> -delta symmetry makes its sign
     +1.  That is C(p, s)*s*2^(s-1) cone LPs.
 
-    For s >= 2 a bound pass first solves the p relaxation LPs of
-    ``_anchor_bounds``.  Every feasible delta of a cone LP of anchor k has
-    delta_k = 1, |delta|_inf <= 1 and |delta|_1 <= 2|delta_J|_1 <= 2s, so it
-    is feasible for anchor k's relaxation, whose value b_k is therefore at
-    most every cone LP value of anchor k.  The anchors are then visited in
-    stable ascending order of b_k, each with all of its cone LPs, up to the
-    first anchor with b_k > best + 1e-7*(1 + |best|): no later anchor can
-    hold the minimum.  At s = 1 the relaxation of anchor k has the same
-    feasible set as its one cone LP (the cone row gives 1'(a + b) <= 1), so
-    the bound pass would only repeat the enumeration and is skipped.
+    A bound pass first solves the p relaxation LPs of ``_anchor_bounds``.
+    Every feasible delta of a cone LP of anchor k has delta_k = 1,
+    |delta|_inf <= 1 and |delta|_1 <= 2|delta_J|_1 <= 2s, so it is feasible
+    for anchor k's relaxation, whose value b_k is therefore at most every
+    cone LP value of anchor k.  The anchors are then visited in stable
+    ascending order of b_k, each with all of its cone LPs, up to the first
+    anchor with b_k > best + 1e-7*(1 + |best|): no later anchor can hold
+    the minimum.
 
     Of equal values the one first in the lexicographic order of (J, sigma,
     anchor) wins, sigma ordered +1 before -1: the first strictly smallest
     of the full enumeration, whatever order the anchors are visited in.
-    At most C(p, s)*s*2^(s-1) + p LPs (p fewer at s = 1); raises
-    BudgetExceededError when they would exceed budget_cap, and
-    SensitivityLpError when one ends other than OPTIMAL.  Use
-    kappa_lower_bound past the cap.
+    At most C(p, s)*s*2^(s-1) + p LPs; raises BudgetExceededError when
+    they would exceed budget_cap, and SensitivityLpError when one ends
+    other than OPTIMAL.  Use kappa_lower_bound past the cap.
     """
     psi = check_gram(psi)
     p = psi.shape[0]
     _check_s(p, s)
-    _check_budget(math.comb(p, s) * s * 2 ** (s - 1) + (p if s > 1 else 0),
-                  budget_cap, "exact enumeration needs ~{} LPs > cap {}; "
+    _check_budget(math.comb(p, s) * s * 2 ** (s - 1) + p, budget_cap,
+                  "exact enumeration needs ~{} LPs > cap {}; "
                   "use kappa_lower_bound")
 
-    def cone_lps(anchors):
+    def cone_lps(k):
         def programs(J, sigma, upper):
-            for k, sign in zip(J, sigma):
-                if sign > 0 and k in anchors:
-                    lower = np.zeros(2 * p + 1)
-                    lower[k] = 1.0
-                    yield k, {"lower": lower, "upper": upper}
+            if sigma[J.index(k)] > 0:
+                lower = np.zeros(2 * p + 1)
+                lower[k] = 1.0
+                yield k, {"lower": lower, "upper": upper}
         return programs
 
     t0 = time.perf_counter()
-    if s == 1:
-        value, cert, cert_J, _, lp_count = _enumerate_cones(
-            psi, s, cone_lps(range(p)))
-    else:
-        bounds = _anchor_bounds(psi, s)
-        lp_count = p
-        best, cert = (np.inf,), None
-        for k in np.argsort(bounds, kind="stable").tolist():
-            if bounds[k] > best[0] + 1e-7 * (1.0 + abs(best[0])):
-                break
-            value, z, J, sigma, n = _enumerate_cones(
-                psi, s, cone_lps((k,)),
-                supports=[J for J in combinations(range(p), s) if k in J])
-            lp_count += n
-            key = (value, J, tuple(-sigma), k)
-            if key < best:
-                best, cert = key, z
-        value, cert_J = best[:2]
+    bounds = _anchor_bounds(psi, s)
+    lp_count = p
+    best, cert = (np.inf,), None
+    for k in np.argsort(bounds, kind="stable").tolist():
+        if bounds[k] > best[0] + 1e-7 * (1.0 + abs(best[0])):
+            break
+        value, z, J, sigma, n = _enumerate_cones(
+            psi, s, cone_lps(k),
+            supports=[J for J in combinations(range(p), s) if k in J])
+        lp_count += n
+        key = (value, J, tuple(-sigma), k)
+        if key < best:
+            best, cert = key, z
+    value, cert_J = best[:2]
     return SensitivityResult(value=value, kind=KIND_EXACT, s=s, q=np.inf,
                              certificate=cert, certificate_J=cert_J,
                              lp_count=lp_count,
@@ -326,8 +318,10 @@ def kappa_star(psi, s, k, budget_cap=DEFAULT_BUDGET_CAP):
     For p <= STAR_EXACT_P_MAX the (support, sign) enumeration solves the
     problem exactly: each cone LP holds a_k at 1 and b_k at 0 (skipping
     the sign patterns that hold a_k at 0), over unbounded a and b.  For
-    larger p the result is min_j b_j over the p relaxations of
-    ``_anchor_bounds``, flagged as a lower bound: a delta in C_J with
+    larger p the result is kappa_lower_bound(psi, s) relabelled to
+    coordinate k, the same for every k, so one call gives the bound of all
+    p coordinates.  It is min_j b_j over the relaxations of
+    ``_anchor_bounds`` and a lower bound here as well: a delta in C_J with
     delta_k = 1 has M = |delta|_inf >= 1, and +-delta/M, the sign making
     its largest entry j equal to +1, is feasible for the relaxation of j,
     so |Psi delta|_inf >= M*b_j >= min_j b_j.
@@ -338,12 +332,9 @@ def kappa_star(psi, s, k, budget_cap=DEFAULT_BUDGET_CAP):
     if not 0 <= k < p:
         raise ValueError(f"coordinate k must be in [0, {p}), got {k}")
 
-    t0 = time.perf_counter()
     if p > STAR_EXACT_P_MAX:
-        return SensitivityResult(value=float(min(_anchor_bounds(psi, s))),
-                                 kind=KIND_LOWER_BOUND, s=s, coord=k,
-                                 lp_count=p,
-                                 wall_time=time.perf_counter() - t0)
+        return replace(kappa_lower_bound(psi, s), q=None, coord=k)
+    t0 = time.perf_counter()
     _check_budget(math.comb(p, s) * (2 ** s), budget_cap, "~{} LPs > cap {}")
 
     def anchored(J, sigma, upper):

@@ -20,7 +20,7 @@ never perturbs other cells.
 
 import math
 from dataclasses import dataclass, field, asdict, replace
-from numbers import Real
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -57,7 +57,9 @@ class SimConfig:
     tau_rule is rejected with ValueError.  pi_mode "known" uses pi_star
     everywhere; "estimated" estimates it from the zero frequency and
     routes the compensated selector through the masked-design feasible
-    set.
+    set.  n must be an integer >= 2, p and reps integers >= 1, noise_sd
+    and theta_value finite with noise_sd >= 0, and every delta finite and
+    >= 0; the constructor raises ValueError otherwise.
     """
 
     seed: int
@@ -76,8 +78,22 @@ class SimConfig:
     nonzero_threshold: float = 1e-8
 
     def __post_init__(self):
-        if self.reps < 1:
-            raise ValueError("reps must be >= 1")
+        for name, least in (("n", 2), ("p", 1), ("reps", 1)):
+            v = getattr(self, name)
+            if not (isinstance(v, Integral) and not isinstance(v, bool)
+                    and v >= least):
+                raise ValueError(f"{name} must be an integer >= {least}, "
+                                 f"got {v!r}")
+        if not (_finite(self.noise_sd) and self.noise_sd >= 0):
+            raise ValueError(f"noise_sd must be finite and >= 0, "
+                             f"got {self.noise_sd!r}")
+        if not _finite(self.theta_value):
+            raise ValueError(f"theta_value must be finite, "
+                             f"got {self.theta_value!r}")
+        object.__setattr__(self, "delta_list", tuple(self.delta_list))
+        if not all(_finite(d) and d >= 0 for d in self.delta_list):
+            raise ValueError(f"every delta must be finite and >= 0, "
+                             f"got {self.delta_list!r}")
         if not 0 <= self.pi_star < 1:
             raise ValueError(f"pi_star must lie in [0,1), got {self.pi_star}")
         if any(s > self.p or s < 0 for s in self.s_list):
@@ -91,7 +107,6 @@ class SimConfig:
                              f"got {self.pi_mode!r}")
         object.__setattr__(self, "tau_rule", _check_tau_rule(self.tau_rule))
         object.__setattr__(self, "s_list", tuple(self.s_list))
-        object.__setattr__(self, "delta_list", tuple(self.delta_list))
         object.__setattr__(self, "estimators", tuple(self.estimators))
 
 
@@ -175,23 +190,24 @@ def _delta_key(delta):
     return int(round(delta * 10 ** 9))
 
 
+def _finite(v):
+    """Whether v is a finite real number (bools excluded)."""
+    return isinstance(v, Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
 def _check_tau_rule(rule):
     """tau_rule as _tau_from_rule reads it: a fixed tau >= 0 as a float, or
     the noise-calibrated dict with DEFAULT_TAU_RULE's mult and eps filling
     in missing keys, as floats with mult >= 0 and eps > 0."""
-    def number(v):
-        return (isinstance(v, Real) and not isinstance(v, bool)
-                and math.isfinite(v))
-
     if isinstance(rule, dict):
         full = {**DEFAULT_TAU_RULE, **rule}
         mult, eps = full["mult"], full["eps"]
         if (full.keys() == DEFAULT_TAU_RULE.keys()
                 and rule.get("kind") == DEFAULT_TAU_RULE["kind"]
-                and number(mult) and number(eps) and mult >= 0 and eps > 0):
+                and _finite(mult) and _finite(eps) and mult >= 0 and eps > 0):
             return {"kind": full["kind"], "mult": float(mult),
                     "eps": float(eps)}
-    elif number(rule) and rule >= 0:
+    elif _finite(rule) and rule >= 0:
         return float(rule)
     raise ValueError(f"tau_rule must be a number >= 0 or "
                      f"{{\"kind\": \"noise-calibrated\", \"mult\": m >= 0, "

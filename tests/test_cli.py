@@ -221,6 +221,24 @@ class TestEstimate:
                                 "--mode", "cmu", "--mu", "0.1", "--tau", "0.1"])
         assert r.exit_code == 64
 
+    @pytest.mark.parametrize("args, message", [
+        (["--mode", "mu", "--mu", "-1", "--tau", "0.1"], "mu must be"),
+        (["--mode", "dantzig", "--tau", "-1"], "tau must be"),
+        (["--mode", "missing", "--tau", "0.1", "--pi", "1.5"], "outside [0, 1)"),
+        (["--mode", "cmu", "--tau", "0.1", "--dhat", "neg.csv"],
+         "compensation entries must be >= 0"),
+    ], ids=["mu", "tau", "pi", "dhat"])
+    def test_bad_number_is_usage_error(self, runner, data_dir, args, message):
+        write_vector(data_dir / "neg.csv", np.array([0.02, -0.01, 0.02, 0.02]))
+        args = [str(data_dir / a) if a.endswith(".csv") else a for a in args]
+        out = data_dir / "est.json"
+        r = runner.invoke(cli, ["estimate", "--design", str(data_dir / "Z.csv"),
+                                "--response", str(data_dir / "y.csv"),
+                                "--out", str(out), *args])
+        assert r.exit_code == 64, r.output
+        assert message in r.output
+        assert not out.exists()
+
     def test_malformed_csv_exit_1(self, runner, tmp_path, data_dir):
         bad = tmp_path / "bad.csv"
         bad.write_text("1,2\n3,x\n")
@@ -323,6 +341,26 @@ class TestSimulate:
                                 "--seed", "7", "--out", str(out)])
         assert r.exit_code == 64, r.output
         assert "tau_rule must be" in r.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kw, message", [
+        ({"n": 16.5}, "n must be an integer >= 2"),
+        ({"n": 1}, "n must be an integer >= 2"),
+        ({"p": 0}, "p must be an integer >= 1"),
+        ({"reps": True}, "reps must be an integer >= 1"),
+        ({"noise_sd": "x"}, "noise_sd must be finite and >= 0"),
+        ({"noise_sd": -0.1}, "noise_sd must be finite and >= 0"),
+        ({"theta_value": float("inf")}, "theta_value must be finite"),
+        ({"delta_list": [-5]}, "every delta must be finite and >= 0"),
+        ({"delta_list": [0.0, "0.1"]}, "every delta must be finite and >= 0"),
+    ])
+    def test_bad_number_is_usage_error(self, runner, tmp_path, kw, message):
+        cfg = self._cfg(tmp_path, **kw)
+        out = tmp_path / "x.csv"
+        r = runner.invoke(cli, ["simulate", "--config", str(cfg),
+                                "--seed", "7", "--out", str(out)])
+        assert r.exit_code == 64, r.output
+        assert message in r.output
         assert not out.exists()
 
     def test_partial_tau_rule_takes_defaults(self, runner, tmp_path):

@@ -189,7 +189,7 @@ class TestKappaInf:
         oracle = kappa_inf_all_anchors(psi, s)[0]
         assert abs(r.value - oracle) <= 1e-12 * abs(oracle)
         full = math.comb(p, s) * s * 2 ** (s - 1)
-        assert r.lp_count == full if s == 1 else p < r.lp_count <= full + p
+        assert p < r.lp_count <= full + p
 
     # the pruned enumeration keeps the unpruned one's winner bit for bit:
     # seeded Grams at p 4-9 of 4 (rank-deficient, few anchors prune), 16 or
@@ -361,6 +361,19 @@ class TestKappaStar:
         r = kappa_star(psi, 1, 0)
         assert r.value <= attained
         assert r.kind == "lower_bound" and r.lp_count == 8
+
+    @pytest.mark.parametrize("p, s", [(7, 1), (7, 2), (8, 1), (8, 2)])
+    def test_past_exact_is_lower_bound(self, p, s):
+        """Past STAR_EXACT_P_MAX every coordinate gets kappa_lower_bound's
+        value, bit for bit, from the same p relaxations."""
+        psi = normalized_gram(p, 30, 40 * p + s)
+        lb = kappa_lower_bound(psi, s)
+        for k in (0, 3, p - 1):
+            r = kappa_star(psi, s, k)
+            assert np.float64(r.value).tobytes() == np.float64(lb.value).tobytes()
+            assert (r.kind, r.s, r.q, r.coord, r.lp_count) == (
+                "lower_bound", s, None, k, p)
+            assert r.to_dict()["q"] == f"star:{k}"
 
 
 class TestKappaLowerBound:
