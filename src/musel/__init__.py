@@ -26,15 +26,7 @@ from .estimators import (
     solve_missing_data_cmu,
     feasibility_check,
 )
-from .missing import (
-    MaskedDesign,
-    CompensationDiagonal,
-    apply_mask,
-    rescale,
-    estimate_pi,
-    sigma_hat,
-    sigma_true,
-)
+from .missing import apply_mask, rescale, estimate_pi, sigma_hat, sigma_true
 
 # Modules that `musel estimate` never needs load on first use (PEP 562),
 # as do the names exported from them.
@@ -75,7 +67,6 @@ __all__ = [
     "SelectorConfig", "Estimate",
     "solve_compensated_mu", "solve_mu_selector", "solve_dantzig",
     "solve_missing_data_cmu", "feasibility_check",
-    "MaskedDesign", "CompensationDiagonal", "apply_mask", "rescale",
-    "estimate_pi", "sigma_hat", "sigma_true",
+    "apply_mask", "rescale", "estimate_pi", "sigma_hat", "sigma_true",
     *_LAZY_HOME,
 ]

@@ -164,9 +164,6 @@ def simulate(config_path, preset, seed, out, raw, md, fresh_design, workers):
         overrides.update(file_cfg)
     if fresh_design:
         overrides["fresh_design"] = True
-    for key in ("s_list", "delta_list", "estimators"):
-        if key in overrides:
-            overrides[key] = tuple(overrides[key])
     try:
         if preset:
             config = config_from_preset(preset, seed=seed, **overrides)
@@ -220,13 +217,14 @@ def sensitivity(gram, s_, q_, empirical, design, dhat, lower, budget, header,
             raise click.UsageError("--empirical needs --design")
         Z = _load(design, header, mio.read_matrix)
         d = _load(dhat, header, mio.read_vector) if dhat else None
-        psi = empirical_gram(Z, d)
     elif gram is not None:
         psi = _load(gram, header, mio.read_matrix)
     else:
         raise click.UsageError("provide --gram or --empirical with --design")
 
     try:
+        if empirical:
+            psi = empirical_gram(Z, d)
         if q_.startswith("star:"):
             k = int(q_.split(":", 1)[1])
             res = kappa_star(psi, s_, k, budget_cap=budget)

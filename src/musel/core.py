@@ -81,11 +81,14 @@ class ErrorMatrices:
 
 def gram(X, diag=None):
     """Gram matrix X'X/n of a design with n >= 1 rows, minus diag(diag)
-    when a length-p diagonal is given."""
+    when a diagonal is given; it must be finite and of length p."""
     X = as_matrix(X, "X")
-    n = X.shape[0]
+    n, p = X.shape
     G = X.T @ X / n
     if diag is not None:
+        diag = as_vector(diag, "diag")
+        if diag.shape[0] != p:
+            raise ValueError(f"diag length {diag.shape[0]} != p={p}")
         G[np.diag_indices_from(G)] -= diag
     return G
 

@@ -32,9 +32,10 @@ import numpy as np
 
 from .core import as_matrix, as_vector, gram
 from .lp import DEFAULT_FEAS_TOL, LinearProgram, LpStatus, solve_lp
-from .missing import MaskedDesign, check_no_dead_columns, estimate_pi, rescale, sigma_hat
+from .missing import check_no_dead_columns, estimate_pi, rescale, sigma_hat
 
 ORTHANT_P_MAX = 6       # largest p whose paired optimum falls back to orthants
+NONZERO_THRESHOLD = 1e-8  # |theta_j| above which j counts as support
 
 
 @dataclass(frozen=True)
@@ -46,14 +47,14 @@ class SelectorConfig:
     means no compensation).  domain is "nonneg" or "free".  The LPs use
     the solver's fixed tolerances; ``feas_tol``, a class constant, is its
     bound tolerance, which ``feasibility_check`` and the free-domain pair
-    test apply as well.
+    test apply as well.  The support of an estimate is fixed by the module
+    constant NONZERO_THRESHOLD.
     """
 
     mu: float
     tau: float
     compensation: np.ndarray = None
     domain: str = "nonneg"
-    nonzero_threshold: float = 1e-8
     feas_tol: ClassVar[float] = DEFAULT_FEAS_TOL
 
     def __post_init__(self):
@@ -74,7 +75,7 @@ class SelectorConfig:
 class Estimate:
     """A selector solution with diagnostics.
 
-    support holds the indices with |theta_j| above the nonzero threshold;
+    support holds the indices with |theta_j| above NONZERO_THRESHOLD;
     residual is |c - G theta|_inf - (mu*|theta|_1 + tau) for the (G, c) the
     selector solved over (<= feas_tol when theta is feasible); fp_rounds
     counts the LPs the free-domain path solved (None on the nonneg path).
@@ -98,15 +99,10 @@ def selector_gram(Z, y, compensation=None):
     constraint reads |c - G theta|_inf <= mu*|theta|_1 + tau."""
     Z = as_matrix(Z, "Z")
     y = as_vector(y, "y")
-    n, p = Z.shape
+    n = Z.shape[0]
     if y.shape[0] != n:
         raise ValueError(f"Z has {n} rows but y has {y.shape[0]}")
-    d = None
-    if compensation is not None:
-        d = as_vector(compensation, "compensation")
-        if d.shape[0] != p:
-            raise ValueError(f"compensation length {d.shape[0]} != p={p}")
-    return gram(Z, d), Z.T @ y / n
+    return gram(Z, compensation), Z.T @ y / n
 
 
 def _direct_lp(G, c, mu, tau):
@@ -120,9 +116,9 @@ def _direct_lp(G, c, mu, tau):
     return LinearProgram(c=np.ones(n), A_ub=A, b_ub=b)
 
 
-def _make_estimate(theta, status, iterations, threshold, **kw):
+def _make_estimate(theta, status, iterations, **kw):
     l1 = float(np.sum(np.abs(theta)))
-    support = np.nonzero(np.abs(theta) > threshold)[0]
+    support = np.nonzero(np.abs(theta) > NONZERO_THRESHOLD)[0]
     return Estimate(theta=theta, l1_norm=l1, support=support,
                     status=status, iterations=iterations, **kw)
 
@@ -130,8 +126,7 @@ def _make_estimate(theta, status, iterations, threshold, **kw):
 def _solve_nonneg(G, c, config):
     sol = solve_lp(_direct_lp(G, c, config.mu, config.tau))
     theta = sol.x if sol.status is LpStatus.OPTIMAL else np.zeros(G.shape[0])
-    return _make_estimate(theta, sol.status, sol.iterations,
-                          config.nonzero_threshold)
+    return _make_estimate(theta, sol.status, sol.iterations)
 
 
 def _solve_free(G, c, config):
@@ -152,8 +147,7 @@ def _solve_free(G, c, config):
             if p <= ORTHANT_P_MAX:
                 return _solve_orthants(G, c, config, sol.iterations)
             theta, status = np.zeros(p), LpStatus.INFEASIBLE
-    return _make_estimate(theta, status, sol.iterations,
-                          config.nonzero_threshold, fp_rounds=1)
+    return _make_estimate(theta, status, sol.iterations, fp_rounds=1)
 
 
 def _solve_orthants(G, c, config, iterations):
@@ -171,8 +165,7 @@ def _solve_orthants(G, c, config, iterations):
         elif sol.status not in (LpStatus.OPTIMAL, LpStatus.INFEASIBLE):
             theta, status = np.zeros(p), sol.status
             break
-    return _make_estimate(theta, status, iterations, config.nonzero_threshold,
-                          fp_rounds=rounds)
+    return _make_estimate(theta, status, iterations, fp_rounds=rounds)
 
 
 def _residual(G, c, theta, mu, tau):
@@ -215,39 +208,36 @@ def solve_dantzig(Z, y, tau, domain="nonneg"):
 
 
 def solve_missing_data_cmu(Z_tilde, y, pi=None, config=None, path="rescale"):
-    """Compensated selector for a masked design.
+    """Compensated selector for a masked design Z_tilde (missing entries
+    are exact 0.0).
 
     pi is the known missingness probability (scalar or per-column); pass
-    None to estimate it from the zero frequency (pooled).  Two equivalent-
-    in-spirit routes are exposed: path="rescale" rescales the masked design
-    by 1/(1-pi) and runs the standard compensated selector; path="direct"
-    keeps the masked design and solves the modified feasible set
-    |Z~'(y(1-pi) - Z~ theta)/n + Dhat theta|_inf <= mu|theta|_1 + tau,
+    None to estimate it from the zero frequency (pooled).  Dhat is
+    ``sigma_hat(Z_tilde, pi)``; config.compensation is ignored.  Two
+    equivalent-in-spirit routes are exposed: path="rescale" rescales the
+    masked design by 1/(1-pi) and runs the standard compensated selector;
+    path="direct" keeps the masked design and solves the modified feasible
+    set |Z~'(y(1-pi) - Z~ theta)/n + Dhat theta|_inf <= mu|theta|_1 + tau,
     which is the form used when pi had to be estimated.
     """
     if config is None:
         raise ValueError("config is required")
     Z_tilde = as_matrix(Z_tilde, "Z_tilde")
     y = as_vector(y, "y")
-    masked = MaskedDesign(Z_tilde=Z_tilde)
-    estimated = pi is None
-    if estimated:
-        check_no_dead_columns(masked)
-        pi_val = estimate_pi(masked, mode="pooled")
-    else:
-        pi_val = pi
-    dhat = sigma_hat(masked, pi_val)
+    if pi is None:
+        check_no_dead_columns(Z_tilde)
+        pi = estimate_pi(Z_tilde, mode="pooled")
+    dhat = sigma_hat(Z_tilde, pi)
 
     if path == "rescale":
-        Z = rescale(masked, pi_val)
-        cfg = replace(config, compensation=dhat.sigma_hat_sq)
-        return solve_compensated_mu(Z, y, cfg)
+        cfg = replace(config, compensation=dhat)
+        return solve_compensated_mu(rescale(Z_tilde, pi), y, cfg)
     if path == "direct":
-        pi_arr = np.atleast_1d(np.asarray(pi_val, dtype=float))
+        pi_arr = np.atleast_1d(np.asarray(pi, dtype=float))
         if pi_arr.size != 1:
             raise ValueError("path='direct' uses the pooled form; pass scalar pi")
         pi_s = float(pi_arr[0])
-        G = gram(Z_tilde, dhat.sigma_hat_sq)
+        G = gram(Z_tilde, dhat)
         # (1 - pi) scales Z~'y, not y: the rounding order fixes the bytes of c
         c = (1.0 - pi_s) * (Z_tilde.T @ y) / Z_tilde.shape[0]
         return _solve_from_gram(G, c, config)

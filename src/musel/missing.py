@@ -1,6 +1,8 @@
 """Missing-at-random design pipeline: masking, rescaling, and estimation of
 the missingness rate and the compensation diagonal.
 
+Every function takes the masked design ``Z_tilde`` as an array, and pi
+(scalar or per-column) as an explicit argument, and returns arrays.
 Missing entries are encoded as exact 0.0 (the mask is multiplicative), so a
 true zero in the design is indistinguishable from a missing value and the
 zero-frequency estimator of pi is biased upward when the design contains
@@ -8,102 +10,46 @@ exact zeros.  The designs targeted here (continuous, e.g. normalized
 Gaussian) have none almost surely.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import as_matrix, as_vector
+from .core import as_matrix
 
 
 def _pi_per_column(pi, p):
     pi_arr = np.broadcast_to(np.asarray(pi, dtype=float), (p,)).copy()
-    if np.any(pi_arr < 0) or np.any(pi_arr >= 1):
-        j = int(np.argmax((pi_arr < 0) | (pi_arr >= 1)))
+    bad = ~((pi_arr >= 0) & (pi_arr < 1))
+    if np.any(bad):
+        j = int(np.argmax(bad))
         raise ValueError(f"pi[{j}]={pi_arr[j]!r} outside [0, 1)")
     return pi_arr
 
 
-@dataclass(frozen=True)
-class MaskedDesign:
-    """A masked observation of a design matrix.
-
-    Z_tilde holds the observed entries with missing cells set to 0.0; pi is
-    the per-column missingness probability (may be unknown, see
-    ``estimate_pi``); eta is the 0/1 keep mask, available in simulation only.
-    """
-
-    Z_tilde: np.ndarray
-    pi: np.ndarray = None
-    eta: np.ndarray = None
-
-    def __post_init__(self):
-        Z = as_matrix(self.Z_tilde, "Z_tilde")
-        object.__setattr__(self, "Z_tilde", Z)
-        if self.pi is not None:
-            object.__setattr__(self, "pi", _pi_per_column(self.pi, Z.shape[1]))
-        if self.eta is not None:
-            eta = np.asarray(self.eta)
-            if eta.shape != Z.shape:
-                raise ValueError("eta shape differs from Z_tilde")
-            if not np.all((eta == 0) | (eta == 1)):
-                raise ValueError("eta must be 0/1")
-            if np.any(Z[eta == 0] != 0.0):
-                raise ValueError("Z_tilde must be exactly 0 where eta is 0")
-            object.__setattr__(self, "eta", eta.astype(np.int8))
-
-    @property
-    def n(self):
-        return self.Z_tilde.shape[0]
-
-    @property
-    def p(self):
-        return self.Z_tilde.shape[1]
-
-
-@dataclass(frozen=True)
-class CompensationDiagonal:
-    """Estimated column second moments of the design noise, and the pi used."""
-
-    sigma_hat_sq: np.ndarray
-    pi_used: np.ndarray
-
-    def __post_init__(self):
-        s = as_vector(self.sigma_hat_sq, "sigma_hat_sq")
-        if np.any(s < 0):
-            raise ValueError("sigma_hat_sq entries must be nonnegative")
-        object.__setattr__(self, "sigma_hat_sq", s)
-        object.__setattr__(self, "pi_used",
-                           _pi_per_column(self.pi_used, s.shape[0]))
-
-
 def apply_mask(X, pi, rng_seed):
-    """Mask each entry of X independently, keeping column j with probability
-    1 - pi_j.  Deterministic given rng_seed; the realized mask is stored."""
+    """The masked design Z_tilde: each entry of X is kept independently,
+    in column j with probability 1 - pi_j, and set to 0.0 otherwise.
+    Deterministic given rng_seed."""
     X = as_matrix(X, "X")
     n, p = X.shape
     pi_arr = _pi_per_column(pi, p)
     rng = np.random.default_rng(rng_seed)
-    eta = (rng.random((n, p)) >= pi_arr).astype(np.int8)
-    Z_tilde = X * eta
-    return MaskedDesign(Z_tilde=Z_tilde, pi=pi_arr, eta=eta)
+    return X * (rng.random((n, p)) >= pi_arr)
 
 
-def rescale(masked, pi=None):
+def rescale(Z_tilde, pi):
     """Inverse-probability rescale Z = Z_tilde / (1 - pi), entrywise per column.
 
     Turns the multiplicative mask into additive zero-mean design noise."""
-    pi_arr = _resolve_pi(masked, pi)
-    return masked.Z_tilde / (1.0 - pi_arr)
+    Z_tilde = as_matrix(Z_tilde, "Z_tilde")
+    return Z_tilde / (1.0 - _pi_per_column(pi, Z_tilde.shape[1]))
 
 
-def estimate_pi(masked, mode="pooled"):
+def estimate_pi(Z_tilde, mode="pooled"):
     """Empirical frequency of exact zeros in the masked design.
 
     mode="pooled" returns a single scalar (all columns share one rate);
     mode="per-column" returns a length-p array.
     """
-    Z = masked.Z_tilde
-    zeros = Z == 0.0
+    zeros = as_matrix(Z_tilde, "Z_tilde") == 0.0
     if mode == "pooled":
         return float(zeros.mean())
     if mode == "per-column":
@@ -111,23 +57,24 @@ def estimate_pi(masked, mode="pooled"):
     raise ValueError(f"mode must be 'pooled' or 'per-column', got {mode!r}")
 
 
-def check_no_dead_columns(masked):
+def check_no_dead_columns(Z_tilde):
     """Reject designs with a fully missing column, naming the first one."""
-    dead = np.nonzero(np.all(masked.Z_tilde == 0.0, axis=0))[0]
+    dead = np.nonzero(np.all(as_matrix(Z_tilde, "Z_tilde") == 0.0, axis=0))[0]
     if dead.size:
         raise ValueError(f"column {dead[0]} has all entries missing")
 
 
-def sigma_hat(masked, pi=None):
-    """Compensation diagonal: sigma_hat_j^2 = mean_i(Z_tilde_ij^2) * pi_j/(1-pi_j)^2.
+def sigma_hat(Z_tilde, pi):
+    """Compensation diagonal, the length-p vector
+    sigma_hat_j^2 = mean_i(Z_tilde_ij^2) * pi_j/(1-pi_j)^2.
 
     Unbiased for the noise second moment sigma_j^2 under the Bernoulli mask.
     """
-    pi_arr = _resolve_pi(masked, pi)
+    Z_tilde = as_matrix(Z_tilde, "Z_tilde")
+    pi_arr = _pi_per_column(pi, Z_tilde.shape[1])
     if np.any(pi_arr > 0):
-        check_no_dead_columns(masked)
-    s = (masked.Z_tilde ** 2).mean(axis=0) * pi_arr / (1.0 - pi_arr) ** 2
-    return CompensationDiagonal(sigma_hat_sq=s, pi_used=pi_arr)
+        check_no_dead_columns(Z_tilde)
+    return (Z_tilde ** 2).mean(axis=0) * pi_arr / (1.0 - pi_arr) ** 2
 
 
 def sigma_true(X, pi):
@@ -136,11 +83,3 @@ def sigma_true(X, pi):
     X = as_matrix(X, "X")
     pi_arr = _pi_per_column(pi, X.shape[1])
     return (X ** 2).mean(axis=0) * pi_arr / (1.0 - pi_arr)
-
-
-def _resolve_pi(masked, pi):
-    if pi is None:
-        if masked.pi is None:
-            raise ValueError("pi unknown: pass it explicitly or use estimate_pi")
-        return masked.pi
-    return _pi_per_column(pi, masked.p)

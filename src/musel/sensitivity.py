@@ -401,11 +401,10 @@ def kappa_lower_bound(psi, s):
 def empirical_gram(Z, D_hat=None):
     """Plug-in Gram estimate Z'Z/n - diag(Dhat) from noisy observations.
 
-    May fail to be positive semidefinite; the sensitivity computations do
-    not require psd-ness.
+    D_hat is a finite length-p vector, such as ``missing.sigma_hat``'s
+    diagonal.  The estimate may fail to be positive semidefinite; the
+    sensitivity computations do not require psd-ness.
     """
-    if D_hat is not None:
-        D_hat = np.asarray(getattr(D_hat, "sigma_hat_sq", D_hat), dtype=float)
     return gram(Z, D_hat)
 
 

@@ -58,8 +58,11 @@ class SimConfig:
     everywhere; "estimated" estimates it from the zero frequency and
     routes the compensated selector through the masked-design feasible
     set.  n must be an integer >= 2, p and reps integers >= 1, noise_sd
-    and theta_value finite with noise_sd >= 0, and every delta finite and
-    >= 0; the constructor raises ValueError otherwise.
+    and theta_value finite with noise_sd >= 0, pi_star in [0, 1);
+    s_list, delta_list and estimators are lists (stored as tuples), every
+    s an integer in [0, p] and every delta finite and >= 0; fresh_design
+    is a bool.  The constructor raises ValueError otherwise.  The support
+    of an estimate is fixed by ``estimators.NONZERO_THRESHOLD``.
     """
 
     seed: int
@@ -75,29 +78,32 @@ class SimConfig:
     estimators: tuple = ("MU", "CMU")
     fresh_design: bool = False
     pi_mode: str = "known"
-    nonzero_threshold: float = 1e-8
 
     def __post_init__(self):
         for name, least in (("n", 2), ("p", 1), ("reps", 1)):
             v = getattr(self, name)
-            if not (isinstance(v, Integral) and not isinstance(v, bool)
-                    and v >= least):
+            if not (_integer(v) and v >= least):
                 raise ValueError(f"{name} must be an integer >= {least}, "
                                  f"got {v!r}")
+        for name in ("s_list", "delta_list", "estimators"):
+            v = getattr(self, name)
+            if not isinstance(v, (list, tuple)):
+                raise ValueError(f"{name} must be a list, got {v!r}")
+            object.__setattr__(self, name, tuple(v))
         if not (_finite(self.noise_sd) and self.noise_sd >= 0):
             raise ValueError(f"noise_sd must be finite and >= 0, "
                              f"got {self.noise_sd!r}")
         if not _finite(self.theta_value):
             raise ValueError(f"theta_value must be finite, "
                              f"got {self.theta_value!r}")
-        object.__setattr__(self, "delta_list", tuple(self.delta_list))
         if not all(_finite(d) and d >= 0 for d in self.delta_list):
             raise ValueError(f"every delta must be finite and >= 0, "
                              f"got {self.delta_list!r}")
-        if not 0 <= self.pi_star < 1:
-            raise ValueError(f"pi_star must lie in [0,1), got {self.pi_star}")
-        if any(s > self.p or s < 0 for s in self.s_list):
-            raise ValueError("every s must satisfy 0 <= s <= p")
+        if not (_finite(self.pi_star) and 0 <= self.pi_star < 1):
+            raise ValueError(f"pi_star must lie in [0,1), got {self.pi_star!r}")
+        if not all(_integer(s) and 0 <= s <= self.p for s in self.s_list):
+            raise ValueError(f"every s must be an integer with 0 <= s <= p, "
+                             f"got {self.s_list!r}")
         bad = [e for e in self.estimators if e not in KNOWN_ESTIMATORS]
         if bad:
             raise ValueError(f"unknown estimators {bad}; "
@@ -105,9 +111,10 @@ class SimConfig:
         if self.pi_mode not in ("known", "estimated"):
             raise ValueError(f"pi_mode must be 'known' or 'estimated', "
                              f"got {self.pi_mode!r}")
+        if not isinstance(self.fresh_design, bool):
+            raise ValueError(f"fresh_design must be true or false, "
+                             f"got {self.fresh_design!r}")
         object.__setattr__(self, "tau_rule", _check_tau_rule(self.tau_rule))
-        object.__setattr__(self, "s_list", tuple(self.s_list))
-        object.__setattr__(self, "estimators", tuple(self.estimators))
 
 
 @dataclass
@@ -167,17 +174,18 @@ def gen_response(X, theta_star, noise_sd, rng):
     return X @ theta_star + noise_sd * rng.standard_normal(n)
 
 
-def metrics(theta_hat, theta_star, X, nonzero_threshold=1e-8):
+def metrics(theta_hat, theta_star, X):
     """Errors and support counts of an estimate against the truth.
 
     err2 is the unnormalized |X(theta_hat - theta*)|_2^2; the 1/n-scaled
-    version is also reported as err2_over_n.
+    version is also reported as err2_over_n.  The estimated support is
+    |theta_hat_j| > estimators.NONZERO_THRESHOLD.
     """
     diff = theta_hat - theta_star
     err1 = float(diff @ diff)
     Xd = X @ diff
     err2 = float(Xd @ Xd)
-    sup_hat = np.abs(theta_hat) > nonzero_threshold
+    sup_hat = np.abs(theta_hat) > estimators.NONZERO_THRESHOLD
     sup_true = theta_star != 0.0
     nb1 = int(np.sum(sup_hat))
     nb2 = int(np.sum(sup_hat & sup_true))
@@ -193,6 +201,11 @@ def _delta_key(delta):
 def _finite(v):
     """Whether v is a finite real number (bools excluded)."""
     return isinstance(v, Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _integer(v):
+    """Whether v is an integer (bools excluded)."""
+    return isinstance(v, Integral) and not isinstance(v, bool)
 
 
 def _check_tau_rule(rule):
@@ -246,35 +259,34 @@ def _run_cell_rep(config, X, s, delta, rep):
                            np.random.default_rng(c_theta))
     y = gen_response(X, theta_star, config.noise_sd,
                      np.random.default_rng(c_resp))
-    masked = apply_mask(X, config.pi_star, c_mask)
+    Z_tilde = apply_mask(X, config.pi_star, c_mask)
 
     known = config.pi_mode == "known"
-    Z = rescale(masked, config.pi_star if known
-                else estimate_pi(masked, mode="pooled"))
+    Z = rescale(Z_tilde, config.pi_star if known
+                else estimate_pi(Z_tilde, mode="pooled"))
     # in estimated mode tau comes from the pi_hat-rescaled design, for comparability
     tau = _tau_from_rule(config.tau_rule, Z, config.noise_sd)
     mu = (1.0 + delta) * delta
-    base = SelectorConfig(mu=mu, tau=tau,
-                          nonzero_threshold=config.nonzero_threshold)
+    base = SelectorConfig(mu=mu, tau=tau)
     G = c = None
     results = {}
     for name in config.estimators:
         if name == "CMU" and not known:
-            est = solve_missing_data_cmu(masked.Z_tilde, y, pi=None,
-                                         config=base, path="direct")
+            est = solve_missing_data_cmu(Z_tilde, y, pi=None, config=base,
+                                         path="direct")
         else:
             if G is None:
                 G, c = estimators.selector_gram(Z, y)
             if name == "CMU":
-                cfg = replace(base, compensation=sigma_hat(
-                    masked, config.pi_star).sigma_hat_sq)
+                cfg = replace(base, compensation=sigma_hat(Z_tilde,
+                                                           config.pi_star))
                 G_cmu = G.copy()
                 G_cmu[np.diag_indices_from(G_cmu)] -= cfg.compensation
                 est = estimators._solve_from_gram(G_cmu, c, cfg)
             else:  # Dantzig: mu = 0 regardless of delta
                 cfg = replace(base, mu=0.0) if name == "Dantzig" else base
                 est = estimators._solve_from_gram(G, c, cfg)
-        m = metrics(est.theta, theta_star, X, config.nonzero_threshold)
+        m = metrics(est.theta, theta_star, X)
         m.status = est.status.value
         results[name] = m
     return results

@@ -35,7 +35,8 @@ class NoiseParams:
     gamma_xi / gamma_Xi are the subgaussian constants of the response and
     design noises; m2 and m4 are the max column second / fourth moments of
     the unobserved design; gamma0 and t0 are the subexponential constants
-    for noise products (derived from the gammas when omitted).
+    for noise products (derived from the gammas when omitted).  All six
+    must be finite when given.
     """
 
     gamma_xi: float
@@ -49,6 +50,10 @@ class NoiseParams:
     t0: float = None
 
     def __post_init__(self):
+        for name in ("gamma_xi", "gamma_Xi", "m2", "m4", "gamma0", "t0"):
+            v = getattr(self, name)
+            if v is not None and not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v!r}")
         if not (self.gamma_xi > 0 and self.gamma_Xi > 0):
             raise ValueError("gamma_xi and gamma_Xi must be positive")
         if not 0 < self.epsilon < 1:

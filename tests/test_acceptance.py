@@ -213,16 +213,14 @@ def test_criterion_7_unbiasedness():
     draws = []
     for k in range(10):
         X = np.tile(col[:, None], (1, reps // 10))
-        masked = apply_mask(X, pi, rng_seed=600 + k)
-        draws.append(sigma_hat(masked, pi).sigma_hat_sq)
+        draws.append(sigma_hat(apply_mask(X, pi, rng_seed=600 + k), pi))
     draws = np.concatenate(draws)
     target = sigma_true(col[:, None], pi)[0]
     se = draws.std(ddof=1) / math.sqrt(reps)
     sigma_ok = abs(draws.mean() - target) <= 3 * se
 
     Xbig = np.random.default_rng(999).standard_normal((100, 500))
-    masked = apply_mask(Xbig, pi, rng_seed=77)
-    pi_hat = estimate_pi(masked)
+    pi_hat = estimate_pi(apply_mask(Xbig, pi, rng_seed=77))
     se_pi = math.sqrt(pi * (1 - pi) / (100 * 500))
     pi_ok = abs(pi_hat - pi) <= 3 * se_pi
 

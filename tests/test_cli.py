@@ -1,5 +1,6 @@
 """CLI surface: exit codes, JSON/CSV outputs, determinism, error reporting."""
 
+import dataclasses
 import json
 import os
 
@@ -227,7 +228,8 @@ class TestEstimate:
         (["--mode", "missing", "--tau", "0.1", "--pi", "1.5"], "outside [0, 1)"),
         (["--mode", "cmu", "--tau", "0.1", "--dhat", "neg.csv"],
          "compensation entries must be >= 0"),
-    ], ids=["mu", "tau", "pi", "dhat"])
+        (["--mode", "missing", "--tau", "0.1", "--pi", "nan"], "outside [0, 1)"),
+    ], ids=["mu", "tau", "pi", "dhat", "pi-nan"])
     def test_bad_number_is_usage_error(self, runner, data_dir, args, message):
         write_vector(data_dir / "neg.csv", np.array([0.02, -0.01, 0.02, 0.02]))
         args = [str(data_dir / a) if a.endswith(".csv") else a for a in args]
@@ -353,6 +355,13 @@ class TestSimulate:
         ({"theta_value": float("inf")}, "theta_value must be finite"),
         ({"delta_list": [-5]}, "every delta must be finite and >= 0"),
         ({"delta_list": [0.0, "0.1"]}, "every delta must be finite and >= 0"),
+        ({"s_list": 1}, "s_list must be a list"),
+        ({"delta_list": 0.1}, "delta_list must be a list"),
+        ({"estimators": 3}, "estimators must be a list"),
+        ({"s_list": [1.5]}, "every s must be an integer"),
+        ({"s_list": [True]}, "every s must be an integer"),
+        ({"s_list": [9]}, "every s must be an integer"),
+        ({"pi_star": float("nan")}, "pi_star must lie in [0,1)"),
     ])
     def test_bad_number_is_usage_error(self, runner, tmp_path, kw, message):
         cfg = self._cfg(tmp_path, **kw)
@@ -362,6 +371,20 @@ class TestSimulate:
         assert r.exit_code == 64, r.output
         assert message in r.output
         assert not out.exists()
+
+    def test_every_field_rejects_a_string(self, runner, tmp_path):
+        """Each SimConfig field but seed, set to "x" in --config, is a usage
+        error that writes no file, so a new field needs its own check."""
+        from musel.simulate import SimConfig
+        out = tmp_path / "x.csv"
+        for f in dataclasses.fields(SimConfig):
+            if f.name == "seed":
+                continue
+            cfg = self._cfg(tmp_path, **{f.name: "x"})
+            r = runner.invoke(cli, ["simulate", "--config", str(cfg),
+                                    "--seed", "7", "--out", str(out)])
+            assert r.exit_code == 64, (f.name, r.output)
+            assert not out.exists(), f.name
 
     def test_partial_tau_rule_takes_defaults(self, runner, tmp_path):
         """A noise-calibrated rule without mult or eps runs as the default
@@ -432,6 +455,20 @@ class TestSensitivity:
                                 "--s", "1", "--q", "inf"])
         assert r.exit_code == 0
         assert json.loads(r.output)["value"] == pytest.approx(expect, abs=1e-12)
+
+    @pytest.mark.parametrize("length", [1, 3])
+    def test_empirical_dhat_of_wrong_length(self, runner, tmp_path, rng,
+                                            length):
+        write_matrix(tmp_path / "Z7.csv", rng.standard_normal((20, 7)))
+        write_vector(tmp_path / "d.csv", np.full(length, 0.01))
+        out = tmp_path / "k.json"
+        r = runner.invoke(cli, ["sensitivity", "--empirical",
+                                "--design", str(tmp_path / "Z7.csv"),
+                                "--dhat", str(tmp_path / "d.csv"),
+                                "--s", "1", "--q", "inf", "--out", str(out)])
+        assert r.exit_code == 64, r.output
+        assert f"diag length {length} != p=7" in r.output
+        assert not out.exists()
 
     def test_budget_exceeded_exit_4(self, runner, tmp_path, rng):
         X = rng.standard_normal((40, 30))
@@ -537,6 +574,18 @@ class TestThresholds:
                                 "--gamma-Xi", "0.1", "--n", "10", "--p", "5",
                                 "--eps", "1.5"])
         assert r.exit_code == 64
+
+    @pytest.mark.parametrize("option, value", [
+        ("--m2", "nan"), ("--m2", "inf"), ("--m4", "nan"),
+        ("--gamma-Xi", "inf"), ("--gamma0", "inf"), ("--t0", "nan")])
+    def test_non_finite_input_usage_error(self, runner, tmp_path, option,
+                                          value):
+        out = tmp_path / "t.json"
+        r = runner.invoke(cli, self.BASE + ["--n", "100", option, value,
+                                            "--out", str(out)])
+        assert r.exit_code == 64, r.output
+        assert "must be finite" in r.output
+        assert not out.exists()
 
     def test_pi_enables_b(self, runner):
         r = runner.invoke(cli, self.BASE + ["--n", "100", "--m4", "1.0",

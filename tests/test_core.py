@@ -69,6 +69,16 @@ class TestGram:
         assert np.array_equal(G[~np.eye(3, dtype=bool)],
                               gram(X)[~np.eye(3, dtype=bool)])
 
+    @pytest.mark.parametrize("d, message", [
+        ([0.1], "diag length 1 != p=3"),
+        ([0.1, 0.2, 0.3, 0.4], "diag length 4 != p=3"),
+        ([0.1, np.nan, 0.3], "non-finite"),
+        (0.1, "1-D"),
+    ])
+    def test_diagonal_checked(self, rng, d, message):
+        with pytest.raises(ValueError, match=message):
+            gram(rng.standard_normal((6, 3)), d)
+
 
 class TestNormalizeDesign:
     def test_already_centered_column(self):

@@ -13,7 +13,7 @@ from musel.estimators import (SelectorConfig, feasibility_check,
                               solve_dantzig, solve_missing_data_cmu,
                               solve_mu_selector)
 from musel.lp import LinearProgram, LpStatus, solve_lp
-from musel.missing import MaskedDesign, estimate_pi, rescale, sigma_hat
+from musel.missing import estimate_pi, rescale, sigma_hat
 
 from conftest import in_contract, selector_instance
 from pair_lp import build_cmu_lp, build_cmu_lp_direct, lift_to_pair
@@ -79,8 +79,8 @@ def free_instance(seed, compensated):
     y = X @ theta + 0.05 * rng.standard_normal(n)
     if not compensated:
         return X, y, np.zeros(p)
-    masked = MaskedDesign(Z_tilde=X * (rng.random((n, p)) >= 0.1))
-    return rescale(masked, 0.1), y, sigma_hat(masked, 0.1).sigma_hat_sq
+    Z_tilde = X * (rng.random((n, p)) >= 0.1)
+    return rescale(Z_tilde, 0.1), y, sigma_hat(Z_tilde, 0.1)
 
 
 def paired_free_instance():
@@ -317,8 +317,7 @@ class TestMissingData:
         # known-pi rescaled route vs the masked-design route with estimated
         # pi; the gap shrinks with |pi_hat - pi| and must stay small
         X, theta, y, Z_tilde = selector_instance(31, n=20, p=5, s=1, pi=0.1)
-        from musel.missing import MaskedDesign, estimate_pi
-        pi_hat = estimate_pi(MaskedDesign(Z_tilde=Z_tilde))
+        pi_hat = estimate_pi(Z_tilde)
         cfg = SelectorConfig(mu=0.11, tau=0.05)
         a = solve_missing_data_cmu(Z_tilde, y, pi=0.1, config=cfg,
                                    path="rescale")
@@ -333,10 +332,9 @@ class TestMissingData:
         cfg = SelectorConfig(mu=0.11, tau=0.05)
         est = solve_missing_data_cmu(Z_tilde, y, pi=None, config=cfg,
                                      path="direct")
-        masked = MaskedDesign(Z_tilde=Z_tilde)
-        pi = estimate_pi(masked)
+        pi = estimate_pi(Z_tilde)
         G = Z_tilde.T @ Z_tilde / 20
-        G[np.diag_indices_from(G)] -= sigma_hat(masked, pi).sigma_hat_sq
+        G[np.diag_indices_from(G)] -= sigma_hat(Z_tilde, pi)
         c = (1.0 - pi) * (Z_tilde.T @ y) / 20
         l1 = float(np.sum(np.abs(est.theta)))
         expect = float(np.max(np.abs(c - G @ est.theta))) - (0.11 * l1 + 0.05)
@@ -393,9 +391,8 @@ class TestResidual:
             est = solve_dantzig(X, y, 0.05)
         else:
             est = solve_missing_data_cmu(Z_tilde, y, pi=0.1, config=cfg)
-            masked = MaskedDesign(Z_tilde=Z_tilde)
-            Z = rescale(masked, 0.1)
-            cfg = replace(cfg, compensation=sigma_hat(masked, 0.1).sigma_hat_sq)
+            Z = rescale(Z_tilde, 0.1)
+            cfg = replace(cfg, compensation=sigma_hat(Z_tilde, 0.1))
         assert est.status is LpStatus.OPTIMAL
         residual, feasible = feasibility_check(est.theta, Z, y, cfg)
         assert est.residual == residual

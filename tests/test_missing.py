@@ -3,62 +3,49 @@
 import numpy as np
 import pytest
 
-from musel.missing import (CompensationDiagonal, MaskedDesign, apply_mask,
-                           check_no_dead_columns, estimate_pi, rescale,
-                           sigma_hat, sigma_true)
+from musel.missing import (apply_mask, check_no_dead_columns, estimate_pi,
+                           rescale, sigma_hat, sigma_true)
 
 
 class TestApplyMask:
     def test_pi_zero_identity(self, rng):
         X = rng.standard_normal((5, 4))
-        masked = apply_mask(X, 0.0, rng_seed=1)
-        assert np.array_equal(masked.Z_tilde, X)
-        assert np.all(masked.eta == 1)
+        assert np.array_equal(apply_mask(X, 0.0, rng_seed=1), X)
 
     def test_same_seed_same_mask(self, rng):
         X = rng.standard_normal((10, 10))
         m1 = apply_mask(X, 0.3, rng_seed=99)
         m2 = apply_mask(X, 0.3, rng_seed=99)
-        assert np.array_equal(m1.eta, m2.eta)
-        assert np.array_equal(m1.Z_tilde, m2.Z_tilde)
+        assert np.array_equal(m1, m2)
 
     def test_empirical_fraction(self):
         X = np.ones((100, 100))
-        masked = apply_mask(X, 0.5, rng_seed=5)
-        frac = 1.0 - masked.eta.mean()
+        frac = np.mean(apply_mask(X, 0.5, rng_seed=5) == 0.0)
         se = np.sqrt(0.25 / 10_000)
         assert abs(frac - 0.5) <= 3 * se
 
     def test_pi_out_of_range(self, rng):
         X = rng.standard_normal((3, 2))
-        with pytest.raises(ValueError, match="outside"):
-            apply_mask(X, 1.0, rng_seed=0)
-
-    def test_mask_consistency_validated(self, rng):
-        Z = rng.standard_normal((3, 2))
-        eta = np.ones((3, 2), dtype=int)
-        eta[0, 0] = 0
-        with pytest.raises(ValueError, match="exactly 0"):
-            MaskedDesign(Z_tilde=Z, eta=eta)
+        for pi in (1.0, np.nan, -0.1, [0.1, np.nan]):
+            with pytest.raises(ValueError, match="outside"):
+                apply_mask(X, pi, rng_seed=0)
 
 
 class TestRescale:
     def test_pi_zero_identity(self, rng):
         X = rng.standard_normal((4, 3))
-        masked = apply_mask(X, 0.0, rng_seed=2)
-        assert np.array_equal(rescale(masked), X)
+        Z_tilde = apply_mask(X, 0.0, rng_seed=2)
+        assert np.array_equal(rescale(Z_tilde, 0.0), X)
 
     def test_direct_arithmetic(self):
-        masked = MaskedDesign(Z_tilde=np.array([[1.0]]), pi=[0.5])
-        assert rescale(masked)[0, 0] == pytest.approx(2.0)
+        assert rescale(np.array([[1.0]]), [0.5])[0, 0] == pytest.approx(2.0)
 
     def test_rescaled_noise_zero_mean(self, rng):
         # 10^4 independent masks of one row via row tiling
         reps = 10_000
         x = np.array([1.5, -2.0, 0.7])
         X = np.tile(x, (reps, 1))
-        masked = apply_mask(X, 0.25, rng_seed=11)
-        Z = rescale(masked, 0.25)
+        Z = rescale(apply_mask(X, 0.25, rng_seed=11), 0.25)
         Xi = Z - X
         means = Xi.mean(axis=0)
         sd = np.sqrt((x ** 2) * 0.25 / 0.75)
@@ -68,26 +55,25 @@ class TestRescale:
 class TestEstimatePi:
     def test_no_zeros(self, rng):
         Z = np.abs(rng.standard_normal((6, 5))) + 0.1
-        assert estimate_pi(MaskedDesign(Z_tilde=Z)) == 0.0
+        assert estimate_pi(Z) == 0.0
 
     def test_all_zeros_rejected_downstream(self):
-        masked = MaskedDesign(Z_tilde=np.zeros((4, 3)))
-        assert estimate_pi(masked) == 1.0
+        Z_tilde = np.zeros((4, 3))
+        assert estimate_pi(Z_tilde) == 1.0
         with pytest.raises(ValueError, match="column 0"):
-            check_no_dead_columns(masked)
+            check_no_dead_columns(Z_tilde)
 
     def test_binomial_concentration(self, rng):
         n, p, pi = 100, 500, 0.1
         X = rng.standard_normal((n, p))
-        masked = apply_mask(X, pi, rng_seed=21)
-        pi_hat = estimate_pi(masked)
+        pi_hat = estimate_pi(apply_mask(X, pi, rng_seed=21))
         se = np.sqrt(pi * (1 - pi) / (n * p))
         assert abs(pi_hat - pi) <= 3 * se
 
     def test_per_column_mode(self, rng):
         X = rng.standard_normal((200, 3))
-        masked = apply_mask(X, [0.0, 0.2, 0.5], rng_seed=3)
-        per = estimate_pi(masked, mode="per-column")
+        Z_tilde = apply_mask(X, [0.0, 0.2, 0.5], rng_seed=3)
+        per = estimate_pi(Z_tilde, mode="per-column")
         assert per.shape == (3,)
         assert per[0] == 0.0
         assert abs(per[2] - 0.5) < 0.15
@@ -96,13 +82,12 @@ class TestEstimatePi:
 class TestSigmaHat:
     def test_pi_zero(self, rng):
         X = rng.standard_normal((5, 2))
-        masked = apply_mask(X, 0.0, rng_seed=1)
-        assert np.all(sigma_hat(masked).sigma_hat_sq == 0.0)
+        Z_tilde = apply_mask(X, 0.0, rng_seed=1)
+        assert np.all(sigma_hat(Z_tilde, 0.0) == 0.0)
 
     def test_hand_value(self):
-        masked = MaskedDesign(Z_tilde=np.array([[1.0], [2.0]]), pi=[0.5])
-        sh = sigma_hat(masked)
-        assert sh.sigma_hat_sq[0] == pytest.approx(5.0)
+        sh = sigma_hat(np.array([[1.0], [2.0]]), [0.5])
+        assert sh[0] == pytest.approx(5.0)
 
     def test_unbiasedness_monte_carlo(self):
         # 10^4 iid sigma_hat draws: tile the column across batches of columns
@@ -113,8 +98,7 @@ class TestSigmaHat:
         draws = []
         for k in range(reps // batch):
             X = np.tile(col[:, None], (1, batch))
-            masked = apply_mask(X, pi, rng_seed=13 + k)
-            draws.append(sigma_hat(masked, pi).sigma_hat_sq)
+            draws.append(sigma_hat(apply_mask(X, pi, rng_seed=13 + k), pi))
         draws = np.concatenate(draws)
         target = sigma_true(col[:, None], pi)[0]
         se = draws.std(ddof=1) / np.sqrt(reps)
@@ -123,7 +107,7 @@ class TestSigmaHat:
     def test_dead_column_rejected(self):
         Z = np.array([[0.0, 1.0], [0.0, 2.0]])
         with pytest.raises(ValueError, match="column 0"):
-            sigma_hat(MaskedDesign(Z_tilde=Z), 0.5)
+            sigma_hat(Z, 0.5)
 
 
 class TestSigmaTrue:
@@ -141,12 +125,7 @@ class TestSigmaTrue:
 
 def test_identity_pipeline_when_nothing_missing(rng):
     X = rng.standard_normal((10, 4))
-    masked = apply_mask(X, 0.0, rng_seed=17)
-    assert np.array_equal(rescale(masked), X)
-    assert np.all(sigma_hat(masked).sigma_hat_sq == 0.0)
-    assert estimate_pi(masked) == 0.0
-
-
-def test_compensation_diagonal_validation():
-    with pytest.raises(ValueError, match="nonnegative"):
-        CompensationDiagonal(sigma_hat_sq=np.array([-0.1]), pi_used=[0.1])
+    Z_tilde = apply_mask(X, 0.0, rng_seed=17)
+    assert np.array_equal(rescale(Z_tilde, 0.0), X)
+    assert np.all(sigma_hat(Z_tilde, 0.0) == 0.0)
+    assert estimate_pi(Z_tilde) == 0.0

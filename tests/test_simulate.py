@@ -132,9 +132,9 @@ class TestRunExperiment:
         from musel.simulate import _design_for
         from musel.missing import rescale
         X = _design_for(cfg, 1, 0.0, 0)
-        masked = apply_mask(X, cfg.pi_star, 11)
-        Z = rescale(masked, cfg.pi_star)
-        dhat = sigma_hat(masked, cfg.pi_star).sigma_hat_sq
+        Z_tilde = apply_mask(X, cfg.pi_star, 11)
+        Z = rescale(Z_tilde, cfg.pi_star)
+        dhat = sigma_hat(Z_tilde, cfg.pi_star)
         G_mu, _ = selector_gram(Z, np.zeros(20))
         G_cmu, _ = selector_gram(Z, np.zeros(20), dhat)
         diff = G_mu - G_cmu
@@ -225,9 +225,9 @@ class TestReplicationSchedule:
         assert len(grams) == n_reps
         assert len(solves) == 3 * n_reps
         for r in range(n_reps):
-            masked, y = masks[r][1], responses[r][1]
-            Z = rescale(masked, cfg.pi_star)
-            dhat = sigma_hat(masked, cfg.pi_star).sigma_hat_sq
+            Z_tilde, y = masks[r][1], responses[r][1]
+            Z = rescale(Z_tilde, cfg.pi_star)
+            dhat = sigma_hat(Z_tilde, cfg.pi_star)
             (_, _, mu_cfg), mu_est = solves[3 * r]
             (_, _, cmu_cfg), cmu_est = solves[3 * r + 1]
             (_, _, dz_cfg), dz_est = solves[3 * r + 2]

@@ -195,8 +195,7 @@ class TestCoverage:
         truth = sigma_true(X, pi)
         count = 0
         for rep in range(reps):
-            masked = apply_mask(X, pi, rng_seed=rep)
-            sh = sigma_hat(masked, pi)
-            count += np.max(np.abs(sh.sigma_hat_sq - truth)) >= b
+            sh = sigma_hat(apply_mask(X, pi, rng_seed=rep), pi)
+            count += np.max(np.abs(sh - truth)) >= b
         se = math.sqrt(eps * (1 - eps) / reps)
         assert count / reps <= eps + 3 * se
