@@ -32,12 +32,11 @@ from .missing import apply_mask, rescale, estimate_pi, sigma_hat, sigma_true
 # as do the names exported from them.
 _LAZY = {
     "thresholds": ("NoiseParams", "Thresholds", "delta_bar",
-                   "subgaussian_deltas", "b_missing", "assemble_thresholds",
-                   "nu_bound"),
+                   "subgaussian_deltas", "b_missing", "nu_bound"),
     "sensitivity": ("SensitivityResult", "in_cone", "kappa_inf_exact",
                     "kappa_one", "kappa_q_from_inf", "kappa_star",
-                    "kappa_lower_bound", "empirical_gram", "theorem1_bounds",
-                    "theorem2_bounds", "theorem3_ci"),
+                    "kappa_lower_bound", "theorem1_bounds", "theorem2_bounds",
+                    "theorem3_ci"),
     "simulate": ("SimConfig", "RunMetrics", "TableRow", "run_experiment"),
 }
 _LAZY_HOME = {name: mod for mod, names in _LAZY.items() for name in names}

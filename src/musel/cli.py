@@ -153,8 +153,15 @@ def simulate(config_path, preset, seed, out, raw, md, fresh_design, workers):
 
     overrides = {}
     if config_path:
-        with open(config_path) as fh:
-            file_cfg = json.load(fh)
+        try:
+            with open(config_path) as fh:
+                file_cfg = json.load(fh)
+        except ValueError as e:
+            raise click.UsageError(f"--config {config_path}: not JSON ({e})")
+        if not isinstance(file_cfg, dict):
+            raise click.UsageError(
+                f"--config {config_path}: expected a JSON object of "
+                f"SimConfig overrides, got {type(file_cfg).__name__}")
         keys = {f.name for f in fields(SimConfig)} - {"seed"}
         unknown = set(file_cfg) - keys
         if unknown:
@@ -192,39 +199,41 @@ def _from_inf(base, s, q):
 
 
 @cli.command()
-@click.option("--gram", type=click.Path(exists=True), default=None)
+@click.option("--gram", type=click.Path(exists=True), default=None,
+              help="Gram matrix CSV.")
 @click.option("--s", "s_", type=int, required=True)
 @click.option("--q", "q_", required=True,
               help="1, 2, inf, or star:k (0-based coordinate k).")
-@click.option("--empirical", is_flag=True,
-              help="Build the Gram estimate from --design (and --dhat).")
-@click.option("--design", type=click.Path(exists=True), default=None)
-@click.option("--dhat", type=click.Path(exists=True), default=None)
+@click.option("--design", type=click.Path(exists=True), default=None,
+              help="Design CSV Z: use the plug-in Gram Z'Z/n - diag(dhat).")
+@click.option("--dhat", type=click.Path(exists=True), default=None,
+              help="Diagonal CSV subtracted from Z'Z/n (with --design).")
 @click.option("--lower-bound", "lower", is_flag=True,
               help="Use the any-p LP lower bound instead of enumeration.")
-@click.option("--budget", type=int, default=100_000, show_default=True)
+@click.option("--budget", type=click.IntRange(min=1), default=100_000,
+              show_default=True)
 @click.option("--header", is_flag=True)
 @click.option("--out", type=click.Path(), default=None)
-def sensitivity(gram, s_, q_, empirical, design, dhat, lower, budget, header,
-                out):
+def sensitivity(gram, s_, q_, design, dhat, lower, budget, header, out):
     """Compute a cone sensitivity of a Gram matrix."""
+    from .core import gram as plugin_gram
     from .sensitivity import (BudgetExceededError, SensitivityLpError,
-                              empirical_gram, kappa_inf_exact,
-                              kappa_lower_bound, kappa_one, kappa_star)
+                              kappa_inf_exact, kappa_lower_bound, kappa_one,
+                              kappa_star)
 
-    if empirical:
-        if design is None:
-            raise click.UsageError("--empirical needs --design")
-        Z = _load(design, header, mio.read_matrix)
-        d = _load(dhat, header, mio.read_vector) if dhat else None
-    elif gram is not None:
+    if (gram is None) == (design is None):
+        raise click.UsageError("pass exactly one of --gram and --design")
+    if dhat is not None and design is None:
+        raise click.UsageError("--dhat needs --design")
+    if design is None:
         psi = _load(gram, header, mio.read_matrix)
     else:
-        raise click.UsageError("provide --gram or --empirical with --design")
+        Z = _load(design, header, mio.read_matrix)
+        d = _load(dhat, header, mio.read_vector) if dhat else None
 
     try:
-        if empirical:
-            psi = empirical_gram(Z, d)
+        if design is not None:
+            psi = plugin_gram(Z, d)
         if q_.startswith("star:"):
             k = int(q_.split(":", 1)[1])
             res = kappa_star(psi, s_, k, budget_cap=budget)

@@ -28,7 +28,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .core import check_gram, gram
+from .core import check_gram
 from .lp import LinearProgram, LpStatus, solve_lp
 
 DEFAULT_BUDGET_CAP = 100_000
@@ -146,6 +146,28 @@ def _min_t(A, b, where, **rows):
     return sol
 
 
+def _anchored(k, upper):
+    """The LinearProgram bounds that pin delta_k = 1 over z = (a, b, t):
+    a_k held at 1 and b_k at 0 on a copy of ``upper``, every other lower
+    bound 0."""
+    p = upper.shape[0] // 2
+    lower = np.zeros(upper.shape[0])
+    lower[k] = 1.0
+    upper = upper.copy()
+    upper[k] = 1.0
+    upper[p + k] = 0.0
+    return {"lower": lower, "upper": upper}
+
+
+def _anchor_lps(k):
+    """``_enumerate_cones`` programs: one LP pinned at delta_k = 1 per
+    (J, sigma), skipping the sign patterns that hold a_k at 0."""
+    def programs(J, sigma, upper):
+        if k not in J or sigma[J.index(k)] > 0:
+            yield k, _anchored(k, upper)
+    return programs
+
+
 def _enumerate_cones(psi, s, programs, box=1.0, supports=None):
     """Minimize over the cone LPs of size-s supports J and sign patterns.
 
@@ -228,14 +250,6 @@ def kappa_inf_exact(psi, s, budget_cap=DEFAULT_BUDGET_CAP):
                   "exact enumeration needs ~{} LPs > cap {}; "
                   "use kappa_lower_bound")
 
-    def cone_lps(k):
-        def programs(J, sigma, upper):
-            if sigma[J.index(k)] > 0:
-                lower = np.zeros(2 * p + 1)
-                lower[k] = 1.0
-                yield k, {"lower": lower, "upper": upper}
-        return programs
-
     t0 = time.perf_counter()
     bounds = _anchor_bounds(psi, s)
     lp_count = p
@@ -244,7 +258,7 @@ def kappa_inf_exact(psi, s, budget_cap=DEFAULT_BUDGET_CAP):
         if bounds[k] > best[0] + 1e-7 * (1.0 + abs(best[0])):
             break
         value, z, J, sigma, n = _enumerate_cones(
-            psi, s, cone_lps(k),
+            psi, s, _anchor_lps(k),
             supports=[J for J in combinations(range(p), s) if k in J])
         lp_count += n
         key = (value, J, tuple(-sigma), k)
@@ -337,18 +351,8 @@ def kappa_star(psi, s, k, budget_cap=DEFAULT_BUDGET_CAP):
     t0 = time.perf_counter()
     _check_budget(math.comb(p, s) * (2 ** s), budget_cap, "~{} LPs > cap {}")
 
-    def anchored(J, sigma, upper):
-        if k in J and sigma[J.index(k)] < 0:
-            return
-        lower = np.zeros(2 * p + 1)
-        lower[k] = 1.0
-        upper = upper.copy()
-        upper[k] = 1.0
-        upper[p + k] = 0.0
-        yield k, {"lower": lower, "upper": upper}
-
-    value, cert, cert_J, _, lp_count = _enumerate_cones(psi, s, anchored,
-                                                        box=np.inf)
+    value, cert, cert_J, _, lp_count = _enumerate_cones(
+        psi, s, _anchor_lps(k), box=np.inf)
     return SensitivityResult(value=value, kind=KIND_EXACT, s=s, coord=k,
                              certificate=cert, certificate_J=cert_J,
                              lp_count=lp_count,
@@ -368,15 +372,10 @@ def _anchor_bounds(psi, s):
     p = psi.shape[0]
     A = np.vstack([np.concatenate([np.ones(2 * p), [0.0]]), _epigraph(psi)])
     b = np.concatenate([[2.0 * s], np.zeros(2 * p)])
-    bounds = np.empty(p)
-    for k in range(p):
-        lower = np.zeros(2 * p + 1)
-        upper = np.concatenate([np.ones(2 * p), [np.inf]])
-        lower[k] = 1.0
-        upper[p + k] = 0.0
-        bounds[k] = _min_t(A, b, (None, None, k), lower=lower,
-                           upper=upper).objective_value
-    return bounds
+    box = np.concatenate([np.ones(2 * p), [np.inf]])
+    return np.array([_min_t(A, b, (None, None, k),
+                            **_anchored(k, box)).objective_value
+                     for k in range(p)])
 
 
 def kappa_lower_bound(psi, s):
@@ -398,21 +397,9 @@ def kappa_lower_bound(psi, s):
                              wall_time=time.perf_counter() - t0)
 
 
-def empirical_gram(Z, D_hat=None):
-    """Plug-in Gram estimate Z'Z/n - diag(Dhat) from noisy observations.
-
-    D_hat is a finite length-p vector, such as ``missing.sigma_hat``'s
-    diagonal.  The estimate may fail to be positive semidefinite; the
-    sensitivity computations do not require psd-ness.
-    """
-    return gram(Z, D_hat)
-
-
 def _ratio(num, kappa):
-    if kappa is None:
-        return None
-    k = float(getattr(kappa, "value", kappa))
-    return np.inf if k <= 0 else num / k
+    """num / kappa, or +inf when kappa <= 0 (flagged, not raised)."""
+    return np.inf if kappa <= 0 else num / kappa
 
 
 def theorem1_bounds(nu, kappas, l1_theta_star, kappa_stars=None):
@@ -420,19 +407,16 @@ def theorem1_bounds(nu, kappas, l1_theta_star, kappa_stars=None):
     requested q, coordinate-wise via kappa_k*, and the prediction bound
     min(nu^2/kappa_1, 2*nu*|theta*|_1).
 
-    kappas maps q -> value (SensitivityResult or float); lower-bound kappas
-    give conservative (larger, still valid) bounds.  Nonpositive kappas
-    yield +inf, flagged rather than raised.
+    kappas maps q -> kappa_q(s) and kappa_stars k -> kappa_k*, as numbers
+    (pass a SensitivityResult's ``value``); lower-bound kappas give
+    conservative (larger, still valid) bounds.  Nonpositive kappas yield
+    +inf, flagged rather than raised.
     """
     lq = {q: _ratio(nu, v) for q, v in kappas.items()}
-    coord = {}
-    if kappa_stars is not None:
-        coord = {k: _ratio(nu, v) for k, v in kappa_stars.items()}
-    pred_terms = [2.0 * nu * l1_theta_star]
-    if 1.0 in lq and lq[1.0] is not None and np.isfinite(lq[1.0]):
-        k1 = float(getattr(kappas[1.0], "value", kappas[1.0]))
-        pred_terms.append(nu ** 2 / k1 if k1 > 0 else np.inf)
-    prediction = min(pred_terms)
+    coord = {k: _ratio(nu, v) for k, v in (kappa_stars or {}).items()}
+    prediction = 2.0 * nu * l1_theta_star
+    if 1.0 in kappas:
+        prediction = min(prediction, _ratio(nu ** 2, kappas[1.0]))
     flags = sorted([q for q, v in lq.items() if not np.isfinite(v)])
     return {"lq": lq, "coord": coord, "prediction": prediction,
             "infinite_q": flags}
@@ -455,13 +439,12 @@ def theorem2_bounds(nu, s, q=2.0, kappa_re_s=None, kappa_re_2s=None, rho=None):
     """
     out = {}
     if kappa_re_s is not None:
-        k = float(kappa_re_s)
-        out["l1_re"] = _ratio(4.0 * nu * s, k)
-        out["prediction_re"] = _ratio(4.0 * nu ** 2 * s, k)
+        out["l1_re"] = _ratio(4.0 * nu * s, kappa_re_s)
+        out["prediction_re"] = _ratio(4.0 * nu ** 2 * s, kappa_re_s)
     if kappa_re_2s is not None:
         if not 1 < q <= 2:
             raise ValueError(f"the RE(2s) bound needs 1 < q <= 2, got {q}")
-        out["lq_re2s"] = _ratio(4.0 * nu * s ** (1.0 / q), float(kappa_re_2s))
+        out["lq_re2s"] = _ratio(4.0 * nu * s ** (1.0 / q), kappa_re_2s)
     if rho is not None:
         if rho >= 1.0 / (2 * s):
             raise ValueError(
@@ -477,28 +460,16 @@ def theorem3_ci(theta_hat, mu_eps, tau_eps, kappa_hat_q, kappa_hat_1,
     """Data-driven confidence-interval radii from empirical sensitivities.
 
     radius_q = 2*(mu|theta_hat|_1 + tau) / (kappa_hat_q * (1 - mu/kappa_hat_1)_+),
-    with x_+ = max(0, x) and 1/0 = inf (flagged, not raised).  The empirical
-    kappas may be computed at any s' >= s; the radii stay valid.
+    with x_+ = max(0, x) and 1/0 = inf (flagged, not raised).  theta_hat is
+    an array and the kappas are numbers (pass a SensitivityResult's
+    ``value``): kappa_hat_q maps q -> kappa, kappa_hat_star k -> kappa.
+    The empirical kappas may be computed at any s' >= s; the radii stay
+    valid.
     """
-    if hasattr(theta_hat, "l1_norm"):
-        l1 = float(theta_hat.l1_norm)
-    else:
-        l1 = float(np.sum(np.abs(np.asarray(theta_hat, dtype=float))))
-    num = 2.0 * (mu_eps * l1 + tau_eps)
-    k1 = float(getattr(kappa_hat_1, "value", kappa_hat_1))
-    shrink = np.inf if k1 <= 0 else mu_eps / k1
-    factor = max(0.0, 1.0 - shrink)
-    radius = {}
-    for q, v in kappa_hat_q.items():
-        kq = float(getattr(v, "value", v))
-        denom = kq * factor
-        radius[q] = np.inf if denom <= 0 else num / denom
-    coord_radius = {}
-    if kappa_hat_star is not None:
-        for k, v in kappa_hat_star.items():
-            kk = float(getattr(v, "value", v))
-            denom = kk * factor
-            coord_radius[k] = np.inf if denom <= 0 else num / denom
-    degenerate = factor == 0.0
+    num = 2.0 * (mu_eps * float(np.sum(np.abs(theta_hat))) + tau_eps)
+    factor = max(0.0, 1.0 - _ratio(mu_eps, kappa_hat_1))
+    radius = {q: _ratio(num, v * factor) for q, v in kappa_hat_q.items()}
+    coord_radius = {k: _ratio(num, v * factor)
+                    for k, v in (kappa_hat_star or {}).items()}
     return {"radius": radius, "coord_radius": coord_radius,
-            "shrink_factor": factor, "degenerate": degenerate}
+            "shrink_factor": factor, "degenerate": factor == 0.0}

@@ -15,7 +15,10 @@ pivots hold the GIL, so threads cannot overlap them.
 Determinism: every random draw derives from the experiment seed and the
 cell coordinates (s, delta, rep) through SeedSequence, so results are
 byte-identical across runs and across worker counts, and adding estimators
-never perturbs other cells.
+never perturbs other cells.  Nothing reads ``workers`` (or MUSEL_THREADS)
+today, so the worker count cannot change them.  The bytes do depend on the
+OpenBLAS thread count: the Gram Z'Z and p x p Gram products give
+different last bits with one thread than with two.
 """
 
 import math

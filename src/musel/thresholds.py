@@ -13,21 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 
-def default_gamma0(gamma_xi, gamma_Xi):
-    """Subexponential scale for products of the two subgaussian noises.
-
-    The product of centered gamma_Xi- and gamma_xi-subgaussian variables is
-    subexponential; the exact constants are not pinned down by theory, so we
-    use a conservative standard shape.  Both constants are plain config
-    values and can be overridden.
-    """
-    return 4.0 * gamma_Xi * max(gamma_Xi, gamma_xi)
-
-
-def default_t0(gamma_xi, gamma_Xi):
-    return 1.0 / (4.0 * gamma_Xi * max(gamma_Xi, gamma_xi))
-
-
 @dataclass(frozen=True)
 class NoiseParams:
     """Inputs to the threshold formulas.
@@ -62,12 +47,14 @@ class NoiseParams:
             raise ValueError("n and p must be positive")
         if self.m2 < 0 or self.m4 < 0:
             raise ValueError("m2 and m4 must be nonnegative")
+        # The product of centered gamma_Xi- and gamma_xi-subgaussian
+        # variables is subexponential; the exact constants are not pinned
+        # down by theory, so the defaults are a conservative standard shape.
+        top = max(self.gamma_Xi, self.gamma_xi)
         if self.gamma0 is None:
-            object.__setattr__(self, "gamma0",
-                               default_gamma0(self.gamma_xi, self.gamma_Xi))
+            object.__setattr__(self, "gamma0", 4.0 * self.gamma_Xi * top)
         if self.t0 is None:
-            object.__setattr__(self, "t0",
-                               default_t0(self.gamma_xi, self.gamma_Xi))
+            object.__setattr__(self, "t0", 1.0 / (4.0 * self.gamma_Xi * top))
         if not (self.gamma0 > 0 and self.t0 > 0):
             raise ValueError("gamma0 and t0 must be positive")
 
@@ -84,12 +71,14 @@ class Thresholds:
 
     def __post_init__(self):
         d = tuple(float(v) for v in self.delta)
+        b = float(self.b)
         if len(d) != 5:
             raise ValueError("expected exactly five delta thresholds")
-        if any(v < 0 for v in d) or self.b < 0:
+        if any(v < 0 for v in d) or b < 0:
             raise ValueError("thresholds must be nonnegative")
         object.__setattr__(self, "delta", d)
-        object.__setattr__(self, "mu_eps", d[0] + d[3] + d[4] + self.b)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "mu_eps", d[0] + d[3] + d[4] + b)
         object.__setattr__(self, "tau_eps", d[1] + d[2])
 
     def to_dict(self, inputs=None):
@@ -145,11 +134,6 @@ def b_missing(epsilon, pi_star, m4, n, p):
     return pi_star / (1.0 - pi_star) ** 2 * math.sqrt(m4 * math.log(2.0 * p / epsilon) / (2.0 * n))
 
 
-def assemble_thresholds(deltas, b=0.0):
-    """Bundle the five deltas and b into a Thresholds record."""
-    return Thresholds(delta=tuple(deltas), b=float(b))
-
-
 def nu_bound(thresholds, delta1, l1_theta_star):
     """Error-bound radius nu = 2*(mu_eps + delta_1)*|theta*|_1 + 2*tau_eps."""
     if l1_theta_star < 0:
@@ -160,7 +144,6 @@ def nu_bound(thresholds, delta1, l1_theta_star):
 def thresholds_for(params, pi_star=None):
     """Convenience: thresholds from NoiseParams, with the missing-data b
     when pi_star is given (b = 0 otherwise)."""
-    d = subgaussian_deltas(params)
     b = 0.0 if pi_star is None else b_missing(params.epsilon, pi_star,
                                               params.m4, params.n, params.p)
-    return assemble_thresholds(d, b)
+    return Thresholds(delta=subgaussian_deltas(params), b=b)

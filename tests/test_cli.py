@@ -325,6 +325,22 @@ class TestSimulate:
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 1 + 2 * 2            # deltas x estimators
 
+    @pytest.mark.parametrize("text, message", [
+        ("5", "expected a JSON object of SimConfig overrides, got int"),
+        ('"n"', "expected a JSON object of SimConfig overrides, got str"),
+        ("[]", "expected a JSON object of SimConfig overrides, got list"),
+        ("{bad", "not JSON"),
+    ])
+    def test_config_not_an_object(self, runner, tmp_path, text, message):
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        out = tmp_path / "x.csv"
+        r = runner.invoke(cli, ["simulate", "--config", str(path),
+                                "--seed", "1", "--out", str(out)])
+        assert r.exit_code == 64, r.output
+        assert message in r.output
+        assert not out.exists()
+
     def test_unknown_key_named(self, runner, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"n": 10, "bogus_key": 1}))
@@ -445,16 +461,44 @@ class TestSensitivity:
         assert blob["q"] == "star:1"
 
     def test_empirical_matches_library(self, runner, data_dir, rng):
-        from musel.sensitivity import empirical_gram, kappa_inf_exact
+        from musel.core import gram
+        from musel.sensitivity import kappa_inf_exact
         Z = read_matrix(data_dir / "Z.csv")
         dhat = read_vector(data_dir / "dhat.csv")
-        expect = kappa_inf_exact(empirical_gram(Z, dhat), 1).value
-        r = runner.invoke(cli, ["sensitivity", "--empirical",
+        expect = kappa_inf_exact(gram(Z, dhat), 1).value
+        r = runner.invoke(cli, ["sensitivity",
                                 "--design", str(data_dir / "Z.csv"),
                                 "--dhat", str(data_dir / "dhat.csv"),
                                 "--s", "1", "--q", "inf"])
         assert r.exit_code == 0
         assert json.loads(r.output)["value"] == pytest.approx(expect, abs=1e-12)
+
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_budget_below_one_rejected(self, runner, data_dir, budget):
+        out = data_dir / "k.json"
+        r = runner.invoke(cli, ["sensitivity", "--gram",
+                                str(data_dir / "eye3.csv"), "--s", "1",
+                                "--q", "inf", "--budget", budget,
+                                "--out", str(out)])
+        assert r.exit_code == 64, r.output
+        assert "--budget" in r.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args, message", [
+        ([], "exactly one of --gram and --design"),
+        (["--gram", "eye3.csv", "--design", "Z.csv"],
+         "exactly one of --gram and --design"),
+        (["--gram", "eye3.csv", "--dhat", "dhat.csv"], "--dhat needs --design"),
+        (["--dhat", "dhat.csv"], "exactly one of --gram and --design"),
+    ])
+    def test_one_gram_source(self, runner, data_dir, monkeypatch, args,
+                             message):
+        monkeypatch.chdir(data_dir)
+        r = runner.invoke(cli, ["sensitivity", *args, "--s", "1", "--q", "inf",
+                                "--out", "k.json"])
+        assert r.exit_code == 64, r.output
+        assert message in r.output
+        assert not (data_dir / "k.json").exists()
 
     @pytest.mark.parametrize("length", [1, 3])
     def test_empirical_dhat_of_wrong_length(self, runner, tmp_path, rng,
@@ -462,7 +506,7 @@ class TestSensitivity:
         write_matrix(tmp_path / "Z7.csv", rng.standard_normal((20, 7)))
         write_vector(tmp_path / "d.csv", np.full(length, 0.01))
         out = tmp_path / "k.json"
-        r = runner.invoke(cli, ["sensitivity", "--empirical",
+        r = runner.invoke(cli, ["sensitivity",
                                 "--design", str(tmp_path / "Z7.csv"),
                                 "--dhat", str(tmp_path / "d.csv"),
                                 "--s", "1", "--q", "inf", "--out", str(out)])

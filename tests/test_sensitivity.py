@@ -11,10 +11,9 @@ from musel import sensitivity
 from musel.core import gram, coherence
 from musel.lp import LinearProgram, LpStatus, solve_lp
 from musel.sensitivity import (BudgetExceededError, _enumerate_cones, c_q,
-                               empirical_gram, in_cone, kappa_inf_exact,
-                               kappa_lower_bound, kappa_one, kappa_q_from_inf,
-                               kappa_star, theorem1_bounds, theorem2_bounds,
-                               theorem3_ci)
+                               in_cone, kappa_inf_exact, kappa_lower_bound,
+                               kappa_one, kappa_q_from_inf, kappa_star,
+                               theorem1_bounds, theorem2_bounds, theorem3_ci)
 
 from conftest import normalized_gram
 from re_oracle import pattern_search_min, project_to_cone, re_constant_bruteforce
@@ -376,6 +375,48 @@ class TestKappaStar:
             assert r.to_dict()["q"] == f"star:{k}"
 
 
+class TestAnchorPin:
+    """Every LP of the anchored routines pins one coordinate k at
+    delta_k = 1: lower[k] == upper[k] == 1 and upper[p + k] == 0, with no
+    other lower bound nonzero."""
+
+    @staticmethod
+    def anchors(solved, p):
+        ks = []
+        for lp in solved:
+            (k,) = np.flatnonzero(lp.lower)
+            assert k < p
+            assert lp.lower[k] == lp.upper[k] == 1.0
+            assert lp.upper[p + k] == 0.0
+            ks.append(int(k))
+        return ks
+
+    @pytest.mark.parametrize("p", [5, 6, 7, 8])
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_kappa_inf_exact(self, lp_stops, p, s):
+        solved = lp_stops(0)
+        r = kappa_inf_exact(normalized_gram(p, 30, 60 + p), s)
+        ks = self.anchors(solved, p)
+        assert len(ks) == r.lp_count
+        assert ks[:p] == list(range(p))       # the anchor relaxations
+
+    @pytest.mark.parametrize("p", [4, 5, 6])
+    @pytest.mark.parametrize("s", [1, 2])
+    @pytest.mark.parametrize("last", [False, True])
+    def test_kappa_star_exact(self, lp_stops, p, s, last):
+        k = p - 1 if last else 0
+        solved = lp_stops(0)
+        r = kappa_star(normalized_gram(p, 30, 70 + p), s, k)
+        assert r.kind == "exact"
+        assert self.anchors(solved, p) == [k] * r.lp_count
+
+    @pytest.mark.parametrize("p", [5, 20])
+    def test_kappa_lower_bound(self, lp_stops, p):
+        solved = lp_stops(0)
+        kappa_lower_bound(normalized_gram(p, 30, 80 + p), 2)
+        assert self.anchors(solved, p) == list(range(p))
+
+
 class TestKappaLowerBound:
     def test_identity_tight(self):
         r = kappa_lower_bound(np.eye(6), 1)
@@ -414,13 +455,9 @@ class TestKappaLowerBound:
 
 
 class TestEmpiricalGram:
-    def test_no_compensation(self, rng):
-        Z = rng.standard_normal((10, 4))
-        assert np.allclose(empirical_gram(Z), gram(Z), atol=1e-15)
-
     def test_exact_when_noiseless(self, rng):
         X = rng.standard_normal((12, 3))
-        assert np.array_equal(empirical_gram(X), X.T @ X / 12)
+        assert np.array_equal(gram(X), X.T @ X / 12)
 
     def test_root_n_consistency(self):
         # median max-error should shrink roughly like 1/sqrt(n)
@@ -434,7 +471,7 @@ class TestEmpiricalGram:
                 Xi = 0.3 * rng.standard_normal((n, 8))
                 Z = X + Xi
                 dhat = (Xi ** 2).mean(axis=0)
-                est = empirical_gram(Z, dhat)
+                est = gram(Z, dhat)
                 # remove the cross terms' own randomness: compare to psi
                 vals.append(np.max(np.abs(est - psi)))
             errs[n] = np.median(vals)

@@ -10,9 +10,8 @@ import pytest
 
 from musel.core import error_matrices, normalize_design
 from musel.missing import apply_mask, sigma_hat, sigma_true
-from musel.thresholds import (NoiseParams, Thresholds, assemble_thresholds,
-                              b_missing, delta_bar, nu_bound,
-                              subgaussian_deltas, thresholds_for)
+from musel.thresholds import (NoiseParams, Thresholds, b_missing, delta_bar,
+                              nu_bound, subgaussian_deltas, thresholds_for)
 
 getcontext().prec = 50
 
@@ -106,23 +105,23 @@ class TestBMissing:
 
 class TestAssemble:
     def test_zeros(self):
-        th = assemble_thresholds((0, 0, 0, 0, 0), 0.0)
+        th = Thresholds(delta=(0, 0, 0, 0, 0), b=0.0)
         assert th.mu_eps == 0.0 and th.tau_eps == 0.0
 
     def test_direct_sum(self):
-        th = assemble_thresholds((1, 2, 3, 4, 5), 6)
+        th = Thresholds(delta=(1, 2, 3, 4, 5), b=6)
         assert th.mu_eps == 16.0
         assert th.tau_eps == 5.0
 
     def test_invariant_recomputed(self):
-        th = assemble_thresholds((0.1, 0.2, 0.3, 0.4, 0.5), 0.6)
+        th = Thresholds(delta=(0.1, 0.2, 0.3, 0.4, 0.5), b=0.6)
         assert th.mu_eps == pytest.approx(th.delta[0] + th.delta[3]
                                           + th.delta[4] + th.b, abs=0)
         assert th.tau_eps == pytest.approx(th.delta[1] + th.delta[2], abs=0)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            assemble_thresholds((-1, 0, 0, 0, 0), 0.0)
+            Thresholds(delta=(-1, 0, 0, 0, 0), b=0.0)
 
     def test_mu_decreasing_in_n(self):
         kw = dict(gamma_xi=0.05, gamma_Xi=0.2, epsilon=0.05, p=20)
@@ -131,7 +130,7 @@ class TestAssemble:
         assert t400.mu_eps < t100.mu_eps
 
     def test_json_echoes_inputs(self):
-        th = assemble_thresholds((1, 2, 3, 4, 5), 6)
+        th = Thresholds(delta=(1, 2, 3, 4, 5), b=6)
         blob = json.loads(th.to_json(inputs={"n": 100, "p": 5}))
         assert blob["inputs"] == {"n": 100, "p": 5}
         assert blob["mu_eps"] == 16.0
@@ -139,7 +138,7 @@ class TestAssemble:
 
 class TestNuBound:
     def test_zero_theta(self):
-        th = assemble_thresholds((0.1, 0.2, 0.3, 0.4, 0.5), 0.0)
+        th = Thresholds(delta=(0.1, 0.2, 0.3, 0.4, 0.5), b=0.0)
         assert nu_bound(th, 0.1, 0.0) == pytest.approx(2 * th.tau_eps)
 
     def test_hand_value(self):
@@ -151,7 +150,7 @@ class TestNuBound:
         assert nu_bound(th, 0.02, 1.5) == pytest.approx(0.38)
 
     def test_affine_in_theta(self):
-        th = assemble_thresholds((0.1, 0.2, 0.3, 0.4, 0.5), 0.0)
+        th = Thresholds(delta=(0.1, 0.2, 0.3, 0.4, 0.5), b=0.0)
         slope = 2 * (th.mu_eps + 0.05)
         v1 = nu_bound(th, 0.05, 1.0)
         v2 = nu_bound(th, 0.05, 2.0)
