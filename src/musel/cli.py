@@ -7,13 +7,12 @@ atomic (temp file + rename), and every subcommand is a pure function of its
 arguments, input files and seed.
 
 Exit codes: 0 ok; 1 malformed CSV; 2 infeasible; 3 iteration limit (of
-the selector LP or of a sensitivity LP); 4 sensitivity budget exceeded;
-64 usage error.
+the selector LP or of a sensitivity LP); 64 usage error.
 """
 
 import json
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import click
 
@@ -33,6 +32,14 @@ _STATUS_EXIT = {
     LpStatus.OPTIMAL: 0,
     LpStatus.INFEASIBLE: 2,
     LpStatus.ITERATION_LIMIT: 3,
+}
+
+# the optional estimate inputs that each --mode reads
+_MODE_READS = {
+    "dantzig": (),
+    "mu": ("--mu",),
+    "cmu": ("--mu", "--dhat"),
+    "missing": ("--mu", "--pi", "--estimate-pi", "--path"),
 }
 
 
@@ -61,7 +68,8 @@ def _load(path, header, reader):
 @click.option("--response", required=True, type=click.Path(exists=True))
 @click.option("--mode", required=True,
               type=click.Choice(["mu", "cmu", "dantzig", "missing"]))
-@click.option("--mu", "mu_", type=float, default=0.0, show_default=True)
+@click.option("--mu", "mu_", type=float, default=None,
+              help="Selector mu (mu, cmu and missing modes; default 0).")
 @click.option("--tau", type=float, required=True)
 @click.option("--pi", type=float, default=None,
               help="Known missingness probability (missing mode).")
@@ -72,14 +80,24 @@ def _load(path, header, reader):
 @click.option("--dhat", type=click.Path(exists=True), default=None,
               help="Compensation diagonal CSV (cmu mode).")
 @click.option("--path", "mpath", type=click.Choice(["rescale", "direct"]),
-              default="rescale", show_default=True,
-              help="Missing-mode route: rescale Z or solve the masked form.")
+              default=None,
+              help="Missing-mode route: rescale Z (default) or solve the "
+                   "masked form.")
 @click.option("--header", is_flag=True, help="Skip the first CSV line.")
 @click.option("--out", type=click.Path(), default=None,
               help="Output JSON path (default: stdout).")
 def estimate(design, response, mode, mu_, tau, pi, est_pi, domain, dhat,
              mpath, header, out):
     """Run a selector on a design/response pair and write the estimate."""
+    given = {"--mu": mu_ is not None, "--pi": pi is not None,
+             "--estimate-pi": est_pi, "--dhat": dhat is not None,
+             "--path": mpath is not None}
+    ignored = [opt for opt, on in given.items()
+               if on and opt not in _MODE_READS[mode]]
+    if ignored:
+        raise click.UsageError(
+            f"--mode {mode} does not read {', '.join(ignored)}")
+    mu_ = 0.0 if mu_ is None else mu_
     Z = _load(design, header, mio.read_matrix)
     y = _load(response, header, mio.read_vector)
 
@@ -89,7 +107,8 @@ def estimate(design, response, mode, mu_, tau, pi, est_pi, domain, dhat,
                 raise click.UsageError(
                     "missing mode needs exactly one of --pi or --estimate-pi")
             cfg = SelectorConfig(mu=mu_, tau=tau, domain=domain)
-            est = solve_missing_data_cmu(Z, y, pi=pi, config=cfg, path=mpath)
+            est = solve_missing_data_cmu(Z, y, pi=pi, config=cfg,
+                                         path=mpath or "rescale")
         elif mode == "cmu":
             if dhat is None:
                 raise click.UsageError(
@@ -189,15 +208,6 @@ def simulate(config_path, preset, seed, out, raw, md, fresh_design, workers):
         click.echo(rows_to_markdown(rows), nl=False)
 
 
-def _from_inf(base, s, q):
-    """The l_q lower bound (2s)^(-1/q) * kappa_inf that a q = inf result
-    implies; no certificate attains it."""
-    from .sensitivity import KIND_LOWER_BOUND, kappa_q_from_inf
-    return replace(base, value=kappa_q_from_inf(base.value, s, q), q=q,
-                   kind=KIND_LOWER_BOUND, certificate=None,
-                   certificate_J=None)
-
-
 @cli.command()
 @click.option("--gram", type=click.Path(exists=True), default=None,
               help="Gram matrix CSV.")
@@ -208,18 +218,16 @@ def _from_inf(base, s, q):
               help="Design CSV Z: use the plug-in Gram Z'Z/n - diag(dhat).")
 @click.option("--dhat", type=click.Path(exists=True), default=None,
               help="Diagonal CSV subtracted from Z'Z/n (with --design).")
-@click.option("--lower-bound", "lower", is_flag=True,
-              help="Use the any-p LP lower bound instead of enumeration.")
 @click.option("--budget", type=click.IntRange(min=1), default=100_000,
-              show_default=True)
+              show_default=True,
+              help="Most LPs to solve; past it the result is a lower bound.")
 @click.option("--header", is_flag=True)
 @click.option("--out", type=click.Path(), default=None)
-def sensitivity(gram, s_, q_, design, dhat, lower, budget, header, out):
+def sensitivity(gram, s_, q_, design, dhat, budget, header, out):
     """Compute a cone sensitivity of a Gram matrix."""
     from .core import gram as plugin_gram
-    from .sensitivity import (BudgetExceededError, SensitivityLpError,
-                              kappa_inf_exact, kappa_lower_bound, kappa_one,
-                              kappa_star)
+    from .sensitivity import (SensitivityLpError, _from_inf, kappa_inf_exact,
+                              kappa_one, kappa_star)
 
     if (gram is None) == (design is None):
         raise click.UsageError("pass exactly one of --gram and --design")
@@ -237,18 +245,14 @@ def sensitivity(gram, s_, q_, design, dhat, lower, budget, header, out):
         if q_.startswith("star:"):
             k = int(q_.split(":", 1)[1])
             res = kappa_star(psi, s_, k, budget_cap=budget)
-        elif q_ == "1" and not lower:
+        elif q_ == "1":
             res = kappa_one(psi, s_, budget_cap=budget)
-        elif q_ in ("1", "2", "inf"):
-            res = (kappa_lower_bound(psi, s_) if lower
-                   else kappa_inf_exact(psi, s_, budget_cap=budget))
-            if q_ != "inf":
-                res = _from_inf(res, s_, float(q_))
+        elif q_ in ("2", "inf"):
+            res = kappa_inf_exact(psi, s_, budget_cap=budget)
+            if q_ == "2":
+                res = _from_inf(res, s_, 2.0)
         else:
             raise click.UsageError(f"bad --q {q_!r}: use 1, 2, inf or star:k")
-    except BudgetExceededError as e:
-        click.echo(f"error: {e} (pass --lower-bound)", err=True)
-        sys.exit(4)
     except SensitivityLpError as e:
         click.echo(f"error: {e}", err=True)
         sys.exit(_STATUS_EXIT[e.status])

@@ -16,9 +16,9 @@ largest entries leave s*2^(s-1) anchor LPs per support for kappa_inf, and a
 relaxation LP per anchor bounds them all, so only the anchors whose bound
 can still win are enumerated; kappa_one is exact when its best LP optimum
 is a genuine unit-l1 vector, which it certifies.
-A budget cap guards the combinatorial blow-up; past it, kappa_lower_bound
-provides a valid linear-programming lower bound for any p, and kappa_star
-past STAR_EXACT_P_MAX returns that bound for every coordinate.
+A budget caps the LPs a call solves; past it the result is a lower bound
+from kappa_inf_exact's anchor walk, stopped early (kappa_lower_bound is the
+walk with no visits).
 """
 
 import math
@@ -41,10 +41,6 @@ KIND_EXACT = "exact"
 KIND_LOWER_BOUND = "lower_bound"
 
 
-class BudgetExceededError(ValueError):
-    """Raised when exact enumeration would exceed the LP budget cap."""
-
-
 class SensitivityLpError(ValueError):
     """An enumerated LP ended other than OPTIMAL.
 
@@ -53,9 +49,8 @@ class SensitivityLpError(ValueError):
     solver failure, and skipping the LP could leave a bound that is too
     high.  Carries the status, the support J and signs sigma (None for the
     anchor relaxations of ``_anchor_bounds``, which kappa_inf_exact solves
-    first at every s, and kappa_lower_bound, hence kappa_star past
-    STAR_EXACT_P_MAX, solves alone) and the anchor coordinate (None for
-    the unit-mass LPs of ``kappa_one``).
+    first whatever its budget) and the anchor coordinate (None for the
+    unit-mass LPs of ``kappa_one``).
     """
 
     def __init__(self, status, J, sigma, anchor):
@@ -77,8 +72,8 @@ class SensitivityResult:
     index (float, with inf for the sup norm) or None for coordinate-wise
     results, which carry the coordinate in ``coord``.  certificate (and its
     support J) is attached only when it provably attains the value.
-    lp_count is the number of LPs solved, for kappa_inf_exact its anchor
-    relaxations included.
+    lp_count is the number of LPs solved, for kappa_inf_exact its p anchor
+    relaxations included, which run whatever the budget.
     """
 
     value: float
@@ -118,13 +113,6 @@ def in_cone(delta, J, tol=1e-12):
 def _check_s(p, s):
     if not 1 <= s <= p:
         raise ValueError(f"s must be in [1, {p}], got {s}")
-
-
-def _check_budget(planned, budget_cap, message):
-    """Raise BudgetExceededError with ``message.format(planned, budget_cap)``
-    when an enumeration plans more LPs than the cap allows."""
-    if planned > budget_cap:
-        raise BudgetExceededError(message.format(planned, budget_cap))
 
 
 def _epigraph(psi):
@@ -216,7 +204,8 @@ def _enumerate_cones(psi, s, programs, box=1.0, supports=None):
 
 
 def kappa_inf_exact(psi, s, budget_cap=DEFAULT_BUDGET_CAP):
-    """Exact sup-norm sensitivity by (support, signs, anchor) enumeration.
+    """Sup-norm sensitivity by (support, signs, anchor) enumeration: exact,
+    or a lower bound once budget_cap LPs are spent.
 
     Each cone LP fixes a size-s support J, a sign pattern sigma on J and
     an anchor k in J with sigma_k = +1 whose entry is forced to 1, and
@@ -232,30 +221,32 @@ def kappa_inf_exact(psi, s, budget_cap=DEFAULT_BUDGET_CAP):
     |delta|_inf <= 1 and |delta|_1 <= 2|delta_J|_1 <= 2s, so it is feasible
     for anchor k's relaxation, whose value b_k is therefore at most every
     cone LP value of anchor k.  The anchors are then visited in stable
-    ascending order of b_k, each with all of its cone LPs, up to the first
-    anchor with b_k > best + 1e-7*(1 + |best|): no later anchor can hold
-    the minimum.
+    ascending order of b_k, each with its C(p-1, s-1)*2^(s-1) cone LPs, up
+    to the first anchor with b_k > best + 1e-7*(1 + |best|): no later
+    anchor can hold the minimum.  A visit runs only while lp_count stays
+    within budget_cap; a walk stopped by the budget is a "lower_bound"
+    without certificate, min(best, b_k) with k the next anchor, since every
+    unvisited anchor's cone LPs are at least its b_k >= this b_k.
 
     Of equal values the one first in the lexicographic order of (J, sigma,
     anchor) wins, sigma ordered +1 before -1: the first strictly smallest
     of the full enumeration, whatever order the anchors are visited in.
-    At most C(p, s)*s*2^(s-1) + p LPs; raises BudgetExceededError when
-    they would exceed budget_cap, and SensitivityLpError when one ends
-    other than OPTIMAL.  Use kappa_lower_bound past the cap.
+    Raises SensitivityLpError when an LP ends other than OPTIMAL.
     """
     psi = check_gram(psi)
     p = psi.shape[0]
     _check_s(p, s)
-    _check_budget(math.comb(p, s) * s * 2 ** (s - 1) + p, budget_cap,
-                  "exact enumeration needs ~{} LPs > cap {}; "
-                  "use kappa_lower_bound")
 
     t0 = time.perf_counter()
     bounds = _anchor_bounds(psi, s)
+    visit = math.comb(p - 1, s - 1) * 2 ** (s - 1)
     lp_count = p
     best, cert = (np.inf,), None
     for k in np.argsort(bounds, kind="stable").tolist():
         if bounds[k] > best[0] + 1e-7 * (1.0 + abs(best[0])):
+            break
+        if lp_count + visit > budget_cap:
+            best, cert = (min(best[0], bounds[k]), None), None
             break
         value, z, J, sigma, n = _enumerate_cones(
             psi, s, _anchor_lps(k),
@@ -265,10 +256,16 @@ def kappa_inf_exact(psi, s, budget_cap=DEFAULT_BUDGET_CAP):
         if key < best:
             best, cert = key, z
     value, cert_J = best[:2]
-    return SensitivityResult(value=value, kind=KIND_EXACT, s=s, q=np.inf,
+    kind = KIND_EXACT if cert is not None else KIND_LOWER_BOUND
+    return SensitivityResult(value=float(value), kind=kind, s=s, q=np.inf,
                              certificate=cert, certificate_J=cert_J,
                              lp_count=lp_count,
                              wall_time=time.perf_counter() - t0)
+
+
+# kappa_lower_bound calls the walk by this name, so that perfbench/probes.py,
+# which wraps both public names, does not record one call inside the other.
+_walk = kappa_inf_exact
 
 
 def kappa_one(psi, s, budget_cap=DEFAULT_BUDGET_CAP):
@@ -284,15 +281,15 @@ def kappa_one(psi, s, budget_cap=DEFAULT_BUDGET_CAP):
     pair-free, so the result there is always exact.  Swapping a and b maps
     the LPs of -sigma (and the negated orthants) onto those of sigma with
     the same values, so only the sign patterns with sigma_1 = +1 are
-    solved: C(p, s)*2^(s-1) LPs, or C(p, s)*2^(p-1) with orthants.
+    solved: C(p, s)*2^(s-1) LPs, or C(p, s)*2^(p-1) with orthants; past
+    budget_cap, the l1 reduction of kappa_inf_exact(psi, s, budget_cap).
     """
     psi = check_gram(psi)
     p = psi.shape[0]
     _check_s(p, s)
     orthants = p <= ORTHANT_P_MAX
-    _check_budget(math.comb(p, s) * 2 ** ((p if orthants else s) - 1),
-                  budget_cap, "exact enumeration needs ~{} LPs > cap {}; "
-                  "use kappa_lower_bound with kappa_q_from_inf")
+    if math.comb(p, s) * 2 ** ((p if orthants else s) - 1) > budget_cap:
+        return _from_inf(kappa_inf_exact(psi, s, budget_cap), s, 1.0)
     mass = np.concatenate([np.ones(2 * p), [0.0]])[None, :]
 
     def unit_mass(J, sigma, upper):
@@ -325,6 +322,14 @@ def kappa_q_from_inf(kappa_inf, s, q):
     return float((2.0 * s) ** (-1.0 / q) * kappa_inf)
 
 
+def _from_inf(base, s, q):
+    """The l_q lower bound (2s)^(-1/q) * kappa_inf that the q = inf result
+    ``base`` implies; no certificate attains it."""
+    return replace(base, value=kappa_q_from_inf(base.value, s, q), q=q,
+                   kind=KIND_LOWER_BOUND, certificate=None,
+                   certificate_J=None)
+
+
 def kappa_star(psi, s, k, budget_cap=DEFAULT_BUDGET_CAP):
     """Coordinate-wise sensitivity: min |Psi delta|_inf over cone vectors
     with delta_k = 1.
@@ -332,13 +337,14 @@ def kappa_star(psi, s, k, budget_cap=DEFAULT_BUDGET_CAP):
     For p <= STAR_EXACT_P_MAX the (support, sign) enumeration solves the
     problem exactly: each cone LP holds a_k at 1 and b_k at 0 (skipping
     the sign patterns that hold a_k at 0), over unbounded a and b.  For
-    larger p the result is kappa_lower_bound(psi, s) relabelled to
-    coordinate k, the same for every k, so one call gives the bound of all
-    p coordinates.  It is min_j b_j over the relaxations of
-    ``_anchor_bounds`` and a lower bound here as well: a delta in C_J with
-    delta_k = 1 has M = |delta|_inf >= 1, and +-delta/M, the sign making
-    its largest entry j equal to +1, is feasible for the relaxation of j,
-    so |Psi delta|_inf >= M*b_j >= min_j b_j.
+    larger p, or past budget_cap LPs (C(p, s)*2^s planned), the result is
+    kappa_lower_bound(psi, s) relabelled to coordinate k, the same for
+    every k, so one call gives the bound of all p coordinates.  It is
+    min_j b_j over the relaxations of ``_anchor_bounds`` and a lower bound
+    here as well: a delta in C_J with delta_k = 1 has M = |delta|_inf >= 1,
+    and +-delta/M, the sign making its largest entry j equal to +1, is
+    feasible for the relaxation of j, so |Psi delta|_inf >= M*b_j >= min_j
+    b_j.
     """
     psi = check_gram(psi)
     p = psi.shape[0]
@@ -346,11 +352,9 @@ def kappa_star(psi, s, k, budget_cap=DEFAULT_BUDGET_CAP):
     if not 0 <= k < p:
         raise ValueError(f"coordinate k must be in [0, {p}), got {k}")
 
-    if p > STAR_EXACT_P_MAX:
+    if p > STAR_EXACT_P_MAX or math.comb(p, s) * 2 ** s > budget_cap:
         return replace(kappa_lower_bound(psi, s), q=None, coord=k)
     t0 = time.perf_counter()
-    _check_budget(math.comb(p, s) * (2 ** s), budget_cap, "~{} LPs > cap {}")
-
     value, cert, cert_J, _, lp_count = _enumerate_cones(
         psi, s, _anchor_lps(k), box=np.inf)
     return SensitivityResult(value=value, kind=KIND_EXACT, s=s, coord=k,
@@ -367,7 +371,9 @@ def _anchor_bounds(psi, s):
     1'(a + b) <= 2s stacked on ``_epigraph(psi)``, a, b in [0, 1], a_k held
     at 1 and b_k at 0.  It is feasible (delta = e_k, as 1 <= 2s) and
     bounded (t >= 0), so one that is not OPTIMAL raises
-    SensitivityLpError(status, None, None, k).
+    SensitivityLpError(status, None, None, k).  The anchor delta_k = -1 is
+    not needed: swapping a and b maps it onto delta_k = +1 and leaves the
+    relaxed set and |Psi delta|_inf unchanged.
     """
     p = psi.shape[0]
     A = np.vstack([np.concatenate([np.ones(2 * p), [0.0]]), _epigraph(psi)])
@@ -379,22 +385,11 @@ def _anchor_bounds(psi, s):
 
 
 def kappa_lower_bound(psi, s):
-    """LP lower bound on kappa_inf(s) for any p.
-
-    Relaxes the union of cone sections {|delta|_inf = 1} to
-    {delta_k = 1, |delta|_inf <= 1, |delta|_1 <= 2s} and minimizes the
-    epigraph of |Psi delta|_inf over the p anchor choices (``_anchor_bounds``).
-    The anchor delta_k = -1 is not needed: swapping a and b maps it onto
-    delta_k = +1 and leaves the relaxed set and |Psi delta|_inf unchanged.
-    """
-    psi = check_gram(psi)
-    p = psi.shape[0]
-    _check_s(p, s)
-    t0 = time.perf_counter()
-    best = min(_anchor_bounds(psi, s))
-    return SensitivityResult(value=float(best), kind=KIND_LOWER_BOUND, s=s,
-                             q=np.inf, lp_count=p,
-                             wall_time=time.perf_counter() - t0)
+    """LP lower bound on kappa_inf(s) for any p: min_k b_k over the p
+    anchor relaxations of ``_anchor_bounds``, which relax the union of cone
+    sections {|delta|_inf = 1} to {delta_k = 1, |delta|_inf <= 1,
+    |delta|_1 <= 2s}.  It is kappa_inf_exact's walk with no visits."""
+    return _walk(psi, s, budget_cap=0)
 
 
 def _ratio(num, kappa):

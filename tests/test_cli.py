@@ -180,9 +180,10 @@ class TestEstimate:
     @pytest.mark.parametrize("mode", ["mu", "dantzig"])
     def test_free_domain_matches_library(self, runner, data_dir, mode):
         from musel.estimators import SelectorConfig, solve_dantzig, solve_mu_selector
+        mu = ["--mu", "0.05"] if mode == "mu" else []
         r = runner.invoke(cli, ["estimate", "--design", str(data_dir / "Z.csv"),
                                 "--response", str(data_dir / "y.csv"),
-                                "--mode", mode, "--mu", "0.05", "--tau", "0.05",
+                                "--mode", mode, *mu, "--tau", "0.05",
                                 "--domain", "free"])
         assert r.exit_code == 0, r.output
         blob = json.loads(r.output)
@@ -239,6 +240,27 @@ class TestEstimate:
                                 "--out", str(out), *args])
         assert r.exit_code == 64, r.output
         assert message in r.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args, ignored", [
+        (["--mode", "dantzig", "--mu", "0.3"], "--mu"),
+        (["--mode", "dantzig", "--path", "rescale"], "--path"),
+        (["--mode", "mu", "--dhat", "dhat.csv"], "--dhat"),
+        (["--mode", "mu", "--pi", "0.1"], "--pi"),
+        (["--mode", "mu", "--estimate-pi"], "--estimate-pi"),
+        (["--mode", "mu", "--path", "direct"], "--path"),
+        (["--mode", "cmu", "--dhat", "dhat.csv", "--pi", "0.1"], "--pi"),
+        (["--mode", "missing", "--pi", "0.1", "--dhat", "dhat.csv"], "--dhat"),
+    ], ids=["dantzig-mu", "dantzig-path", "mu-dhat", "mu-pi", "mu-estimate-pi",
+            "mu-path", "cmu-pi", "missing-dhat"])
+    def test_option_mode_does_not_read(self, runner, data_dir, args, ignored):
+        args = [str(data_dir / a) if a.endswith(".csv") else a for a in args]
+        out = data_dir / "est.json"
+        r = runner.invoke(cli, ["estimate", "--design", str(data_dir / "Z.csv"),
+                                "--response", str(data_dir / "y.csv"),
+                                "--tau", "0.05", "--out", str(out), *args])
+        assert r.exit_code == 64, r.output
+        assert f"does not read {ignored}" in r.output
         assert not out.exists()
 
     def test_malformed_csv_exit_1(self, runner, tmp_path, data_dir):
@@ -514,20 +536,9 @@ class TestSensitivity:
         assert f"diag length {length} != p=7" in r.output
         assert not out.exists()
 
-    def test_budget_exceeded_exit_4(self, runner, tmp_path, rng):
-        X = rng.standard_normal((40, 30))
-        X -= X.mean(axis=0)
-        X /= np.sqrt((X ** 2).mean(axis=0))
-        write_matrix(tmp_path / "big.csv", X.T @ X / 40)
-        r = runner.invoke(cli, ["sensitivity", "--gram",
-                                str(tmp_path / "big.csv"), "--s", "3",
-                                "--q", "inf", "--budget", "1000"])
-        assert r.exit_code == 4
-        assert "--lower-bound" in r.output
-
     # either way the third LP is the relaxation of anchor 2: kappa_inf_exact
-    # runs kappa_lower_bound's LPs as its bound pass
-    @pytest.mark.parametrize("extra, anchor", [([], 2), (["--lower-bound"], 2)])
+    # runs its p anchor relaxations whatever the budget
+    @pytest.mark.parametrize("extra, anchor", [([], 2), (["--budget", "1"], 2)])
     def test_failed_lp_exit_3(self, runner, tmp_path, third_lp_stops, extra,
                               anchor):
         from conftest import normalized_gram
@@ -553,15 +564,22 @@ class TestSensitivity:
         assert not out.exists()
 
     def test_lower_bound_path(self, runner, tmp_path, rng):
+        """Past the budget the walk answers with its lower bound: at p = 30,
+        s = 3 one anchor visit is 1624 cone LPs, so a budget of 1000 stops
+        after the 30 anchor relaxations."""
+        from musel.sensitivity import kappa_lower_bound
         X = rng.standard_normal((40, 30))
         X -= X.mean(axis=0)
         X /= np.sqrt((X ** 2).mean(axis=0))
         write_matrix(tmp_path / "big.csv", X.T @ X / 40)
         r = runner.invoke(cli, ["sensitivity", "--gram",
                                 str(tmp_path / "big.csv"), "--s", "3",
-                                "--q", "inf", "--lower-bound"])
-        assert r.exit_code == 0
-        assert json.loads(r.output)["kind"] == "lower_bound"
+                                "--q", "inf", "--budget", "1000"])
+        assert r.exit_code == 0, r.output
+        blob = json.loads(r.output)
+        assert (blob["kind"], blob["lp_count"], blob["certificate"]) == (
+            "lower_bound", 30, None)
+        assert blob["value"] == kappa_lower_bound(X.T @ X / 40, 3).value
 
     @pytest.mark.parametrize("q, lower", [("2", False), ("2", True),
                                           ("1", True)])
@@ -572,7 +590,7 @@ class TestSensitivity:
         psi = read_matrix(path)
         base = kappa_lower_bound(psi, 1) if lower else kappa_inf_exact(psi, 1)
         r = runner.invoke(cli, ["sensitivity", "--gram", str(path), "--s", "1",
-                                "--q", q] + (["--lower-bound"] if lower else []))
+                                "--q", q] + (["--budget", "1"] if lower else []))
         assert r.exit_code == 0, r.output
         blob = json.loads(r.output)
         assert blob["kind"] == "lower_bound"

@@ -19,7 +19,9 @@ import pytest
 
 from musel.estimators import Estimate, SelectorConfig
 from musel.lp import LinearProgram, check_solution, solve_lp
-from musel.sensitivity import SensitivityResult
+from musel import sensitivity
+from musel.sensitivity import (SensitivityResult, kappa_inf_exact,
+                               kappa_lower_bound)
 from musel.simulate import run_experiment
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
@@ -43,6 +45,26 @@ def test_selector_config_feas_tol():
                                        (SensitivityResult, "lp_count")])
 def test_result_field(cls, name):
     assert name in {f.name for f in dataclasses.fields(cls)}
+
+
+def test_sensitivity_result_reports_wall_time():
+    # SensFixedpoint pops wall_time from to_dict() before digesting it
+    d = SensitivityResult(value=1.0, kind="exact", s=1).to_dict()
+    assert d.pop("wall_time") == 0.0
+
+
+@pytest.mark.parametrize("kappa", [kappa_inf_exact, kappa_lower_bound])
+def test_sensitivity_two_positional_call(kappa):
+    # SensFixedpoint calls kappa(psi, 2); probes.py reads int(res.lp_count)
+    res = kappa(np.eye(4), 2)
+    assert type(res.lp_count) is int and res.lp_count >= 4
+
+
+def test_lower_bound_not_through_wrapped_name(monkeypatch):
+    # probes.py wraps both names as sensitivity calls, so kappa_lower_bound
+    # calling the wrapped kappa_inf_exact would nest one call in another
+    monkeypatch.setattr(sensitivity, "kappa_inf_exact", None)
+    assert kappa_lower_bound(np.eye(4), 2).lp_count == 4
 
 
 def test_run_experiment_takes_workers():

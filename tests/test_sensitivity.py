@@ -10,10 +10,10 @@ import pytest
 from musel import sensitivity
 from musel.core import gram, coherence
 from musel.lp import LinearProgram, LpStatus, solve_lp
-from musel.sensitivity import (BudgetExceededError, _enumerate_cones, c_q,
-                               in_cone, kappa_inf_exact, kappa_lower_bound,
-                               kappa_one, kappa_q_from_inf, kappa_star,
-                               theorem1_bounds, theorem2_bounds, theorem3_ci)
+from musel.sensitivity import (_enumerate_cones, _from_inf, c_q, in_cone,
+                               kappa_inf_exact, kappa_lower_bound, kappa_one,
+                               kappa_q_from_inf, kappa_star, theorem1_bounds,
+                               theorem2_bounds, theorem3_ci)
 
 from conftest import normalized_gram
 from re_oracle import pattern_search_min, project_to_cone, re_constant_bruteforce
@@ -173,9 +173,37 @@ class TestKappaInf:
             r = kappa_inf_exact(psi, s)
             assert r.value >= 1.0 - 2 * rho * s - 1e-9
 
-    def test_budget_error(self):
-        with pytest.raises(BudgetExceededError, match="kappa_lower_bound"):
-            kappa_inf_exact(np.eye(40), 3, budget_cap=1000)
+    # budgets p, p + v, p + 2v, ... (v the cone LPs of one anchor visit)
+    # on Grams at p 5-12 and s 1-3, up to one visit past the exact call's
+    @pytest.mark.parametrize("p, n, s", [(5, 40, 1), (6, 4, 3), (7, 16, 2),
+                                         (9, 40, 3), (12, 8, 1), (12, 30, 2),
+                                         (10, 30, 3)])
+    def test_budget_walk(self, p, n, s):
+        psi = normalized_gram(p, n, 600 + 10 * p + s)
+        exact = kappa_inf_exact(psi, s)
+        bound = kappa_lower_bound(psi, s)
+        visit = math.comb(p - 1, s - 1) * 2 ** (s - 1)
+        last = -np.inf
+        for budget in range(p, exact.lp_count + visit + 1, visit):
+            r = kappa_inf_exact(psi, s, budget_cap=budget)
+            assert last <= r.value
+            assert r.value <= exact.value + 1e-12 * max(1.0, abs(exact.value))
+            assert r.lp_count <= max(p, budget)
+            last = r.value
+            if budget < exact.lp_count:
+                assert (r.kind, r.certificate, r.certificate_J,
+                        r.lp_count) == ("lower_bound", None, None, budget)
+                continue
+            assert np.float64(r.value).tobytes() == \
+                np.float64(exact.value).tobytes()
+            assert r.certificate.tobytes() == exact.certificate.tobytes()
+            assert (r.kind, r.certificate_J, r.lp_count) == (
+                "exact", exact.certificate_J, exact.lp_count)
+        # below one visit the walk is kappa_lower_bound, bit for bit
+        for budget in (0, p, p + visit - 1):
+            r = kappa_inf_exact(psi, s, budget_cap=budget)
+            assert r.to_dict() | {"wall_time": 0} == \
+                bound.to_dict() | {"wall_time": 0}
 
     # normalized Grams at p 5-8, s 1-3, and p=8 Grams of a 16-row design at
     # s=2 (the sensitivity benchmark's kappa_inf input)
@@ -288,8 +316,22 @@ class TestKappaOne:
         psi = normalized_gram(p, 30, 0)
         r = kappa_one(psi, s)
         assert r.lp_count == math.comb(p, s) * 2 ** ((p if p <= 4 else s) - 1)
-        with pytest.raises(BudgetExceededError):
-            kappa_one(psi, s, budget_cap=r.lp_count - 1)
+        assert kappa_one(psi, s, budget_cap=r.lp_count).lp_count == r.lp_count
+
+    @pytest.mark.parametrize("p, s", [(4, 2), (6, 2), (8, 3)])
+    def test_below_plan_is_l1_reduction(self, p, s):
+        """Below its plan, kappa_one is the l1 reduction of the budgeted
+        kappa_inf walk."""
+        psi = normalized_gram(p, 30, 50 + p)
+        plan = math.comb(p, s) * 2 ** ((p if p <= 4 else s) - 1)
+        full = kappa_one(psi, s).value
+        for budget in (1, p + 1, plan - 1):
+            r = kappa_one(psi, s, budget_cap=budget)
+            base = kappa_inf_exact(psi, s, budget_cap=budget)
+            assert (r.to_dict() | {"wall_time": 0}) == (
+                _from_inf(base, s, 1.0).to_dict() | {"wall_time": 0})
+            assert r.kind == "lower_bound" and r.certificate is None
+            assert r.value <= full + 1e-12
 
     def test_smaller_support_never_below(self):
         # enumerating |J| = s only is valid: cones nest, so the value is
@@ -373,6 +415,20 @@ class TestKappaStar:
             assert (r.kind, r.s, r.q, r.coord, r.lp_count) == (
                 "lower_bound", s, None, k, p)
             assert r.to_dict()["q"] == f"star:{k}"
+
+    @pytest.mark.parametrize("p, s", [(4, 1), (5, 2), (6, 3)])
+    def test_below_plan_is_lower_bound(self, p, s):
+        """Below its plan of C(p, s)*2^s LPs, kappa_star is
+        kappa_lower_bound relabelled, as past STAR_EXACT_P_MAX."""
+        psi = normalized_gram(p, 30, 20 * p + s)
+        plan = math.comb(p, s) * 2 ** s
+        lb = kappa_lower_bound(psi, s)
+        for k in (0, p - 1):
+            r = kappa_star(psi, s, k, budget_cap=plan - 1)
+            assert (r.to_dict() | {"wall_time": 0}) == (
+                lb.to_dict() | {"q": f"star:{k}", "wall_time": 0})
+            assert r.value <= kappa_star(psi, s, k).value + 1e-12
+            assert kappa_star(psi, s, k, budget_cap=plan).kind == "exact"
 
 
 class TestAnchorPin:
