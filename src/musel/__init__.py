@@ -9,6 +9,12 @@ and a Monte Carlo benchmark harness.
 
 import importlib
 
+from . import _accel
+
+# one BLAS thread for the whole process, so that the output bytes do not
+# depend on the core count (see musel._accel)
+_accel.single_blas_thread()
+
 from .core import (
     ErrorMatrices,
     gram,

@@ -377,6 +377,10 @@ class _DualSimplex:
         A, n = self.A, self.n
         inf_up = np.isinf(up)
         fixed = (up == lo).nonzero()[0]
+        span = up - lo
+        # boxed: both bounds finite and apart; fixed variables never enter
+        boxed = np.isfinite(span) & (span > 0.0)
+        any_boxed = bool(boxed.any())
         bland_after = 50 + 2 * self.m
         degenerate_run = 0
         updated = None          # updates since the last factor; None: refactor
@@ -457,19 +461,22 @@ class _DualSimplex:
             ratio = slack_d / abs_a
             if bland:
                 pos = int(np.argmax(ratio <= ratio.min()))
-            else:
-                rest = np.arange(J.size)
-                span = up[J] - lo[J]
-                if np.isfinite(span).any():
-                    # bound flipping: the step may pass the breakpoints of
-                    # boxed variables (they change bound below) while x_r
-                    # stays beyond its bound
-                    order = np.lexsort((J, ratio))
-                    reach = np.cumsum(abs_a[order] * span[order])
-                    rest = order[min(int(np.searchsorted(reach, viol[r])), order.size - 1):]
+            elif any_boxed and boxed[J].any():
+                # bound flipping: the step may pass the breakpoints of
+                # boxed variables (they change bound below) while x_r
+                # stays beyond its bound; J ascends, so a stable sort on
+                # the ratio breaks ties toward the lowest index
+                order = np.argsort(ratio, kind="stable")
+                reach = np.cumsum(abs_a[order] * span[J[order]])
+                rest = order[min(int(np.searchsorted(reach, viol[r])), order.size - 1):]
                 # Harris: the largest pivot among steps within the relaxed bound
                 bound = np.min((slack_d[rest] + 0.5 * DEFAULT_OPT_TOL) / abs_a[rest])
                 within = np.sort(rest[ratio[rest] <= bound])
+                pos = int(within[np.argmax(abs_a[within])])
+            else:
+                # Harris over every eligible variable
+                bound = np.min((slack_d + 0.5 * DEFAULT_OPT_TOL) / abs_a)
+                within = (ratio <= bound).nonzero()[0]
                 pos = int(within[np.argmax(abs_a[within])])
             q = int(J[pos])
             self.iters += 1
@@ -521,7 +528,10 @@ def solve_lp(lp, max_iters=None):
     m = m1 + lp.A_eq.shape[0]
     if max_iters is None:
         max_iters = 50 * (n + m)
-    A = np.vstack([lp.A_ub, lp.A_eq])
+    # the callers' matrices are C-ordered already: stack only to append
+    # equality rows
+    A = (np.vstack([lp.A_ub, lp.A_eq]) if lp.A_eq.shape[0]
+         else np.ascontiguousarray(lp.A_ub))
     b = np.concatenate([lp.b_ub, lp.b_eq])
     c = np.concatenate([lp.c, np.zeros(m)])
     lo = np.concatenate([lp.lower, np.zeros(m)])

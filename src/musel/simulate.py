@@ -16,9 +16,10 @@ Determinism: every random draw derives from the experiment seed and the
 cell coordinates (s, delta, rep) through SeedSequence, so results are
 byte-identical across runs and across worker counts, and adding estimators
 never perturbs other cells.  Nothing reads ``workers`` (or MUSEL_THREADS)
-today, so the worker count cannot change them.  The bytes do depend on the
-OpenBLAS thread count: the Gram Z'Z and p x p Gram products give
-different last bits with one thread than with two.
+today, so the worker count cannot change them.  Nor can the core count or
+``OPENBLAS_NUM_THREADS``: importing musel holds numpy's bundled OpenBLAS at
+one thread for the whole process (``musel._accel``), where two threads would
+give the Gram Z'Z and the p x p Gram products other last bits.
 """
 
 import math
