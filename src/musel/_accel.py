@@ -1,7 +1,16 @@
 """The numeric backend: plain numpy, with its bundled OpenBLAS on one thread.
 
-``import musel`` calls :func:`single_blas_thread` before anything computes,
-so every BLAS product in the process runs on one thread.  A second OpenBLAS
+When musel is the first to import numpy, it holds ``OPENBLAS_NUM_THREADS``
+at 1 for that import only and then restores the caller's value (or removes
+the key if it was absent), so ``os.environ`` after ``import musel`` equals
+``os.environ`` before it.  OpenBLAS reads the variable once, as numpy loads
+it, and at 1 it starts no worker thread: the nproc - 1 workers it would
+otherwise start spin for about 130 ms of CPU before they can be parked,
+which every fresh ``musel`` CLI process would pay.
+
+When numpy was imported first, its workers already run; ``import musel``
+then calls :func:`single_blas_thread` before anything computes, so every
+BLAS product in the process still runs on one thread.  A second OpenBLAS
 thread gives ``Z'Z`` and the p x p Gram products other last bits at the
 paper's p = 500, so the output bytes would follow the core count and
 ``OPENBLAS_NUM_THREADS``; it also spins for as long as the main thread
@@ -11,8 +20,21 @@ OpenBLAS is left as it is, and the bytes then depend on its BLAS.
 
 import ctypes
 import os
+import sys
 
-import numpy
+if "numpy" in sys.modules:
+    import numpy
+else:
+    _caller = os.environ.get("OPENBLAS_NUM_THREADS")
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy
+    finally:
+        if _caller is None:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+        else:
+            os.environ["OPENBLAS_NUM_THREADS"] = _caller
+        del _caller
 
 # the thread-count setters of numpy's bundled OpenBLAS, newest first
 _SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",

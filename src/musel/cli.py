@@ -7,10 +7,12 @@ atomic (temp file + rename), and every subcommand is a pure function of its
 arguments, input files and seed.
 
 Exit codes: 0 ok; 1 malformed CSV; 2 infeasible; 3 iteration limit (of
-the selector LP or of a sensitivity LP); 64 usage error.
+the selector LP or of a sensitivity LP); 64 usage error (among them an
+``--out`` whose directory does not exist, found before any work).
 """
 
 import json
+import os
 import sys
 from dataclasses import fields
 
@@ -46,6 +48,23 @@ _MODE_READS = {
 @click.group()
 def cli():
     """musel: l1 selectors for noisy and partially missing designs."""
+
+
+class _OutFile(click.Path):
+    """An output file path whose directory must exist.  click checks it while
+    it parses the arguments, so a bad ``--out`` is a usage error before any
+    work instead of a failed write after it.  ``<out>.raw.json`` lies in the
+    same directory, so the check covers it too."""
+
+    def __init__(self):
+        super().__init__(dir_okay=False)
+
+    def convert(self, value, param, ctx):
+        value = super().convert(value, param, ctx)
+        directory = os.path.dirname(value)
+        if not os.path.isdir(directory or os.curdir):
+            self.fail(f"directory {directory!r} does not exist", param, ctx)
+        return value
 
 
 def _emit(text, out):
@@ -84,7 +103,7 @@ def _load(path, header, reader):
               help="Missing-mode route: rescale Z (default) or solve the "
                    "masked form.")
 @click.option("--header", is_flag=True, help="Skip the first CSV line.")
-@click.option("--out", type=click.Path(), default=None,
+@click.option("--out", type=_OutFile(), default=None,
               help="Output JSON path (default: stdout).")
 def estimate(design, response, mode, mu_, tau, pi, est_pi, domain, dhat,
              mpath, header, out):
@@ -155,7 +174,7 @@ class _PresetChoice(click.Choice):
               default=None, help="JSON file with SimConfig overrides.")
 @click.option("--preset", type=_PresetChoice(), default=None)
 @click.option("--seed", type=int, required=True)
-@click.option("--out", required=True, type=click.Path())
+@click.option("--out", required=True, type=_OutFile())
 @click.option("--raw", is_flag=True,
               help="Also write per-replication records to <out>.raw.json.")
 @click.option("--markdown", "md", is_flag=True,
@@ -222,7 +241,7 @@ def simulate(config_path, preset, seed, out, raw, md, fresh_design, workers):
               show_default=True,
               help="Most LPs to solve; past it the result is a lower bound.")
 @click.option("--header", is_flag=True)
-@click.option("--out", type=click.Path(), default=None)
+@click.option("--out", type=_OutFile(), default=None)
 def sensitivity(gram, s_, q_, design, dhat, budget, header, out):
     """Compute a cone sensitivity of a Gram matrix."""
     from .core import gram as plugin_gram
@@ -276,7 +295,7 @@ def sensitivity(gram, s_, q_, design, dhat, budget, header, out):
 @click.option("--eps", type=float, required=True)
 @click.option("--gamma0", type=float, default=None)
 @click.option("--t0", type=float, default=None)
-@click.option("--out", type=click.Path(), default=None)
+@click.option("--out", type=_OutFile(), default=None)
 def thresholds(gamma_xi, gamma_Xi, m2, m4, pi, n_, p_, eps, gamma0, t0, out):
     """Compute the noise deviation thresholds and mu(eps), tau(eps)."""
     from .thresholds import NoiseParams, thresholds_for

@@ -664,3 +664,44 @@ def test_atomic_write_leaves_no_temp(tmp_path):
     atomic_write_text(target, "hello")
     assert target.read_text() == "hello"
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+class TestOutDirectory:
+    """``--out`` into a directory that does not exist is a usage error (64)
+    that names the option, found before any work; nothing is written."""
+
+    ARGS = {
+        "estimate": ["--design", "Z.csv", "--response", "y.csv",
+                     "--mode", "dantzig", "--tau", "0.1"],
+        "simulate": ["--preset", "table1", "--seed", "1", "--raw"],
+        "sensitivity": ["--gram", "eye3.csv", "--s", "1", "--q", "inf"],
+        "thresholds": TestThresholds.BASE[1:] + ["--n", "100"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(ARGS))
+    def test_missing_directory(self, runner, data_dir, monkeypatch, command):
+        def no_replication(*args, **kwargs):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr("musel.simulate.run_experiment", no_replication)
+        monkeypatch.chdir(data_dir)
+        before = sorted(os.listdir(data_dir))
+        r = runner.invoke(cli, [command, *self.ARGS[command],
+                                "--out", os.path.join("nodir", "x.json")])
+        assert r.exit_code == 64, r.output
+        assert "Invalid value for '--out'" in r.output
+        assert "directory 'nodir' does not exist" in r.output
+        assert sorted(os.listdir(data_dir)) == before
+
+    def test_directory_is_not_a_file(self, runner, data_dir):
+        r = runner.invoke(cli, ["thresholds", *self.ARGS["thresholds"],
+                                "--out", str(data_dir)])
+        assert r.exit_code == 64, r.output
+        assert "Invalid value for '--out'" in r.output
+
+    def test_bare_file_name_writes(self, runner, data_dir, monkeypatch):
+        monkeypatch.chdir(data_dir)
+        r = runner.invoke(cli, ["thresholds", *self.ARGS["thresholds"],
+                                "--out", "t.json"])
+        assert r.exit_code == 0, r.output
+        assert json.loads((data_dir / "t.json").read_text())["inputs"]["n"] == 100

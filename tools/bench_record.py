@@ -10,10 +10,15 @@ subprocess for each workload and each of five fixed seeds, one run at a
 time, and reads each run's ``environment`` line and its result line (the
 last line of its output).  Then it times one
 ``musel simulate --preset table1 --seed 1`` and one ``--preset reduced
---seed 7``, wall and CPU.  The file holds the git sha (and whether tracked
-files differed from it), the environment block of the first run, every
-run's metrics, the median and quartiles of each metric per workload, and
-the simulate times.  The file records numbers; it gates nothing.
+--seed 7``, wall and CPU, and the cold starts: 15 fresh
+``python -m musel.cli estimate`` requests (missing mode, known pi) on one
+seeded, 10%-masked 100x500 CSV design, and 15 bare
+``python -c "import musel"`` starts, each as the median wall time and the
+mean CPU time (``RUSAGE_CHILDREN``, user + system) per start.  The file
+holds the git sha (and whether tracked files differed from it), the
+environment block of the first run, every run's metrics, the median and
+quartiles of each metric per workload, the simulate times and the cold
+starts.  The file records numbers; it gates nothing.
 """
 
 import argparse
@@ -26,10 +31,13 @@ import sys
 import tempfile
 import time
 
+import numpy as np
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("sim-reduced", "estimate-p500", "sens-fixedpoint")
 SEEDS = (1001, 1002, 1003, 1004, 1005)
 SECONDS = 30.0
+COLD_STARTS = 15
 
 
 def perfbench(workload, seed):
@@ -50,22 +58,61 @@ def summary(values):
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def simulate_times(preset, seed):
-    """Wall and CPU seconds of one ``musel simulate --preset P --seed S --raw``."""
+def child_cpu():
+    r = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return r.ru_utime + r.ru_stime
+
+
+def timed(args):
+    """Wall and CPU seconds of one ``python args...`` run on this checkout's src."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")) if p))
+    cpu0, t0 = child_cpu(), time.monotonic()
+    subprocess.run([sys.executable, *args], env=env, check=True,
+                   stdout=subprocess.DEVNULL)
+    return time.monotonic() - t0, child_cpu() - cpu0
+
+
+def simulate_times(preset, seed):
+    """Wall and CPU seconds of one ``musel simulate --preset P --seed S --raw``."""
     with tempfile.TemporaryDirectory() as tmp:
-        cpu0 = resource.getrusage(resource.RUSAGE_CHILDREN)
-        t0 = time.monotonic()
-        subprocess.run([sys.executable, "-m", "musel.cli", "simulate",
-                        "--preset", preset, "--seed", str(seed),
-                        "--out", os.path.join(tmp, "out.csv"), "--raw"],
-                       env=env, check=True)
-        wall = time.monotonic() - t0
-    cpu1 = resource.getrusage(resource.RUSAGE_CHILDREN)
-    cpu = (cpu1.ru_utime + cpu1.ru_stime) - (cpu0.ru_utime + cpu0.ru_stime)
+        wall, cpu = timed(["-m", "musel.cli", "simulate", "--preset", preset,
+                           "--seed", str(seed),
+                           "--out", os.path.join(tmp, "out.csv"), "--raw"])
     return {"command": f"musel simulate --preset {preset} --seed {seed} --raw",
             "wall_s": wall, "cpu_s": cpu}
+
+
+def cold_starts(command, args):
+    """Median wall and mean CPU seconds of COLD_STARTS runs of ``python args``."""
+    runs = [timed(args) for _ in range(COLD_STARTS)]
+    walls = [wall for wall, _ in runs]
+    return {"command": command, "starts": COLD_STARTS,
+            "wall_s": summary(walls),
+            "cpu_s_mean": statistics.fmean(cpu for _, cpu in runs)}
+
+
+def cold_estimate():
+    """Cold starts of ``musel estimate`` on a seeded, masked 100x500 design."""
+    rng = np.random.default_rng(1812)
+    X = rng.standard_normal((100, 500))
+    X -= X.mean(axis=0)
+    X /= np.sqrt((X ** 2).mean(axis=0))
+    theta = np.zeros(500)
+    theta[rng.choice(500, 2, replace=False)] = 0.5
+    y = X @ theta + 0.05 / 1.96 * rng.standard_normal(100)
+    Z = X * (rng.random((100, 500)) >= 0.1)
+    with tempfile.TemporaryDirectory() as tmp:
+        zp, yp = os.path.join(tmp, "Z.csv"), os.path.join(tmp, "y.csv")
+        np.savetxt(zp, Z, fmt="%.17g", delimiter=",")
+        np.savetxt(yp, y.reshape(-1, 1), fmt="%.17g", delimiter=",")
+        request = ["estimate", "--design", zp, "--response", yp,
+                   "--mode", "missing", "--pi", "0.1", "--mu", "0.11",
+                   "--tau", "0.02", "--out", os.path.join(tmp, "theta.json")]
+        return cold_starts("musel estimate --design Z.csv --response y.csv "
+                           "--mode missing --pi 0.1 --mu 0.11 --tau 0.02 "
+                           "(seeded 10%-masked 100x500 design)",
+                           ["-m", "musel.cli", *request])
 
 
 def git(*args):
@@ -101,6 +148,13 @@ def main():
     for preset, t in simulate.items():
         print(f"{preset}: {t['wall_s']:.1f} s wall, {t['cpu_s']:.1f} s CPU",
               file=sys.stderr)
+    cold = {"estimate": cold_estimate(),
+            "import": cold_starts('python -c "import musel"',
+                                  ["-c", "import musel"])}
+    for name, t in cold.items():
+        print(f"cold {name}: {1e3 * t['wall_s']['median']:.0f} ms wall "
+              f"(median), {1e3 * t['cpu_s_mean']:.0f} ms CPU (mean)",
+              file=sys.stderr)
     record = {
         "git_sha": git("rev-parse", "HEAD") or "unknown",
         # True when tracked files differed from that commit while measuring
@@ -110,6 +164,7 @@ def main():
                       "seconds": SECONDS, "seeds": list(SEEDS),
                       "workloads": workloads},
         "simulate": simulate,
+        "cold_start": cold,
     }
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
