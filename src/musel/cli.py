@@ -179,12 +179,7 @@ class _PresetChoice(click.Choice):
               help="Also write per-replication records to <out>.raw.json.")
 @click.option("--markdown", "md", is_flag=True,
               help="Also print a mean-(std) table to stdout.")
-@click.option("--fresh-design", is_flag=True,
-              help="Redraw the design every replication instead of per s.")
-@click.option("--workers", type=click.IntRange(min=1), default=None,
-              help="Reserved for a process count; replications run in the "
-                   "caller and the output does not depend on it.")
-def simulate(config_path, preset, seed, out, raw, md, fresh_design, workers):
+def simulate(config_path, preset, seed, out, raw, md):
     """Run the Monte Carlo benchmark grid and write the table as CSV."""
     from .simulate import (SimConfig, config_from_preset, rows_to_csv,
                            rows_to_markdown, run_experiment)
@@ -206,9 +201,7 @@ def simulate(config_path, preset, seed, out, raw, md, fresh_design, workers):
             raise click.UsageError(
                 f"unknown config key {sorted(unknown)[0]!r}; "
                 f"valid keys: {sorted(keys)}")
-        overrides.update(file_cfg)
-    if fresh_design:
-        overrides["fresh_design"] = True
+        overrides = file_cfg
     try:
         if preset:
             config = config_from_preset(preset, seed=seed, **overrides)
@@ -217,7 +210,7 @@ def simulate(config_path, preset, seed, out, raw, md, fresh_design, workers):
     except (ValueError, TypeError) as e:
         raise click.UsageError(str(e))
 
-    result = run_experiment(config, workers=workers, collect_raw=raw)
+    result = run_experiment(config, collect_raw=raw)
     rows, raw_records = result if raw else (result, None)
     mio.atomic_write_text(out, rows_to_csv(rows))
     if raw:
@@ -278,7 +271,11 @@ def sensitivity(gram, s_, q_, design, dhat, budget, header, out):
     except ValueError as e:
         raise click.UsageError(str(e))
 
-    _emit(json.dumps(res.to_dict(), indent=2, sort_keys=True) + "\n", out)
+    # the wall time is a trace, not a result: it would make the bytes differ
+    # between runs on the same input
+    payload = res.to_dict()
+    del payload["wall_time"]
+    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
 
 
 @cli.command()

@@ -207,21 +207,20 @@ def solve_dantzig(Z, y, tau, domain="nonneg"):
     return solve_compensated_mu(Z, y, cfg)
 
 
-def solve_missing_data_cmu(Z_tilde, y, pi=None, config=None, path="rescale"):
+def solve_missing_data_cmu(Z_tilde, y, pi=None, *, config, path="rescale"):
     """Compensated selector for a masked design Z_tilde (missing entries
     are exact 0.0).
 
     pi is the known missingness probability (scalar or per-column); pass
-    None to estimate it from the zero frequency (pooled).  Dhat is
-    ``sigma_hat(Z_tilde, pi)``; config.compensation is ignored.  Two
+    None to estimate it from the zero frequency (pooled).  config, a
+    required keyword, gives mu, tau and the domain; Dhat is
+    ``sigma_hat(Z_tilde, pi)``, and config.compensation is ignored.  Two
     equivalent-in-spirit routes are exposed: path="rescale" rescales the
     masked design by 1/(1-pi) and runs the standard compensated selector;
     path="direct" keeps the masked design and solves the modified feasible
     set |Z~'(y(1-pi) - Z~ theta)/n + Dhat theta|_inf <= mu|theta|_1 + tau,
     which is the form used when pi had to be estimated.
     """
-    if config is None:
-        raise ValueError("config is required")
     Z_tilde = as_matrix(Z_tilde, "Z_tilde")
     y = as_vector(y, "y")
     if pi is None:

@@ -1,9 +1,12 @@
 """Monte Carlo benchmark harness for the selectors on masked designs.
 
-Pipeline per replication: draw a normalized Gaussian design, a sparse
-coefficient vector and Gaussian response noise, mask the design entrywise,
-rescale by the (known) keep probability, estimate the compensation
-diagonal, and solve each configured selector with mu = (1+delta)*delta.
+Pipeline per replication: take the normalized Gaussian design of its s
+(drawn once per s, or afresh for each replication when
+``SimConfig.fresh_design`` is set, which ``musel simulate`` reads from
+``--config``), draw a sparse coefficient vector and Gaussian response
+noise, mask the design entrywise, rescale by the (known) keep
+probability, estimate the compensation diagonal, and solve each
+configured selector with mu = (1+delta)*delta.
 The selectors of one replication share one Gram Z'Z/n: the compensated
 selector solves on a copy with diag(Dhat) subtracted.  Replications
 aggregate into per-(s, delta, estimator) table rows with means, standard
@@ -14,16 +17,15 @@ pivots hold the GIL, so threads cannot overlap them.
 
 Determinism: every random draw derives from the experiment seed and the
 cell coordinates (s, delta, rep) through SeedSequence, so results are
-byte-identical across runs and across worker counts, and adding estimators
-never perturbs other cells.  Nothing reads ``workers`` (or MUSEL_THREADS)
-today, so the worker count cannot change them.  Nor can the core count or
-``OPENBLAS_NUM_THREADS``: importing musel holds numpy's bundled OpenBLAS at
-one thread for the whole process (``musel._accel``), where two threads would
-give the Gram Z'Z and the p x p Gram products other last bits.
+byte-identical across runs, and adding estimators never perturbs other
+cells.  Neither the core count nor ``OPENBLAS_NUM_THREADS`` changes them:
+importing musel holds numpy's bundled OpenBLAS at one thread for the whole
+process (``musel._accel``), where two threads would give the Gram Z'Z and
+the p x p Gram products other last bits.
 """
 
 import math
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, fields, asdict, replace
 from numbers import Integral, Real
 
 import numpy as np
@@ -301,8 +303,8 @@ def run_experiment(config, workers=None, collect_raw=False):
 
     Replications run in the calling thread, in (s, delta, rep) order, each
     through ``_run_cell_rep``; aggregation is an ordered reduction over
-    replication index.  ``workers`` is accepted and reserved for a process
-    count: it changes neither the schedule nor the output.  Failed
+    replication index.  ``workers`` is ignored: nothing reads it, and it
+    stays only because perfbench's sim-reduced workload passes it.  Failed
     replications (solver status not optimal) are excluded from the
     aggregates and counted in the ``failed`` column.
     """
@@ -348,9 +350,7 @@ def run_experiment(config, workers=None, collect_raw=False):
     return rows
 
 
-_CSV_COLUMNS = ("estimator", "s", "delta", "err1_mean", "err1_std",
-                "err2_mean", "err2_std", "nb1_mean", "nb1_std",
-                "nb2_mean", "nb2_std", "exact_count", "failed", "reps")
+_CSV_COLUMNS = tuple(f.name for f in fields(TableRow))
 
 
 def rows_to_csv(rows):

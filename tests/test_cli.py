@@ -198,6 +198,21 @@ class TestEstimate:
             est = solve_dantzig(Z, y, 0.05, domain="free")
         assert np.array(blob["theta"]).tobytes() == est.theta.tobytes()
 
+    def test_cmu_mode_matches_library(self, runner, data_dir):
+        from musel.estimators import SelectorConfig, solve_compensated_mu
+        r = runner.invoke(cli, ["estimate", "--design", str(data_dir / "Z.csv"),
+                                "--response", str(data_dir / "y.csv"),
+                                "--mode", "cmu", "--mu", "0.05", "--tau", "0.05",
+                                "--dhat", str(data_dir / "dhat.csv")])
+        assert r.exit_code == 0, r.output
+        blob = json.loads(r.output)
+        assert blob["status"] == "optimal"
+        cfg = SelectorConfig(mu=0.05, tau=0.05,
+                             compensation=read_vector(data_dir / "dhat.csv"))
+        est = solve_compensated_mu(read_matrix(data_dir / "Z.csv"),
+                                   read_vector(data_dir / "y.csv"), cfg)
+        assert np.array(blob["theta"]).tobytes() == est.theta.tobytes()
+
     def test_zero_response_gives_zero(self, runner, data_dir):
         r = runner.invoke(cli, ["estimate", "--design", str(data_dir / "Z.csv"),
                                 "--response", str(data_dir / "y0.csv"),
@@ -325,18 +340,30 @@ class TestSimulate:
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]
 
-    def test_workers_below_one_rejected(self, runner, tmp_path):
+    @pytest.mark.parametrize("args", [["--workers", "2"], ["--fresh-design"]])
+    def test_removed_option_rejected(self, runner, tmp_path, args):
+        """Neither option is offered: the worker count had no reader, and
+        fresh designs come through --config."""
         cfg = self._cfg(tmp_path)
-        for workers in ("0", "-3"):
-            r = runner.invoke(cli, ["simulate", "--config", str(cfg),
-                                    "--seed", "7", "--workers", workers,
-                                    "--out", str(tmp_path / "x.csv")])
-            assert r.exit_code == 64, r.output
-            assert "--workers" in r.output
-        assert not (tmp_path / "x.csv").exists()
+        out = tmp_path / "x.csv"
         r = runner.invoke(cli, ["simulate", "--config", str(cfg), "--seed", "7",
-                                "--workers", "2", "--out", str(tmp_path / "x.csv")])
+                                *args, "--out", str(out)])
+        assert r.exit_code == 64, r.output
+        assert "No such option" in r.output and args[0] in r.output
+        assert not out.exists()
+
+    def test_fresh_design_from_config(self, runner, tmp_path):
+        from musel.simulate import SimConfig, rows_to_csv, run_experiment
+        cfg = self._cfg(tmp_path, fresh_design=True)
+        out = tmp_path / "f.csv"
+        r = runner.invoke(cli, ["simulate", "--config", str(cfg), "--seed", "5",
+                                "--out", str(out), "--raw"])
         assert r.exit_code == 0, r.output
+        rows, raw = run_experiment(
+            SimConfig(seed=5, **json.loads(cfg.read_text())), collect_raw=True)
+        assert out.read_text() == rows_to_csv(rows)
+        assert (tmp_path / "f.csv.raw.json").read_text() == \
+            json.dumps(raw, indent=2, sort_keys=True) + "\n"
 
     def test_schema(self, runner, tmp_path):
         cfg = self._cfg(tmp_path)
@@ -597,6 +624,31 @@ class TestSensitivity:
         assert blob["q"] == float(q)
         assert blob["certificate"] is None
         assert blob["value"] == kappa_q_from_inf(base.value, 1, float(q))
+
+    def test_out_bytes_repeat(self, runner, tmp_path):
+        """The JSON is a function of the input alone: it carries no wall
+        time, which differs from run to run."""
+        from conftest import normalized_gram
+        write_matrix(tmp_path / "psi.csv", normalized_gram(6, 20, 4))
+        blobs = []
+        for name in ("a.json", "b.json"):
+            out = tmp_path / name
+            r = runner.invoke(cli, ["sensitivity", "--gram",
+                                    str(tmp_path / "psi.csv"), "--s", "2",
+                                    "--q", "inf", "--out", str(out)])
+            assert r.exit_code == 0, r.output
+            blobs.append(out.read_bytes())
+        assert blobs[0] == blobs[1]
+        assert "wall_time" not in json.loads(blobs[0])
+
+    def test_bad_q_usage_error(self, runner, data_dir):
+        out = data_dir / "k.json"
+        r = runner.invoke(cli, ["sensitivity", "--gram",
+                                str(data_dir / "eye3.csv"), "--s", "1",
+                                "--q", "3", "--out", str(out)])
+        assert r.exit_code == 64, r.output
+        assert "bad --q '3'" in r.output
+        assert not out.exists()
 
     def test_q2_reduction(self, runner, data_dir):
         r = runner.invoke(cli, ["sensitivity", "--gram",

@@ -563,6 +563,12 @@ class TestTheorem2Bounds:
         rep = theorem2_bounds(1.0, 1, kappa_re_s=1.0)
         assert rep["l1_re"] == pytest.approx(4.0)
 
+    @pytest.mark.parametrize("q", [1.5, 2.0])
+    def test_lq_re2s(self, q):
+        nu, s, k = 0.3, 3, 0.7
+        rep = theorem2_bounds(nu, s, q=q, kappa_re_2s=k)
+        assert rep["lq_re2s"] == 4.0 * nu * s ** (1.0 / q) / k
+
     def test_cq_value(self):
         assert c_q(2.0) == pytest.approx(0.25)
 

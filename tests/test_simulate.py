@@ -241,6 +241,20 @@ class TestReplicationSchedule:
                 assert np.array_equal(got.theta, want.theta)
                 assert got.residual == want.residual
 
+    @pytest.mark.parametrize("pi_mode", ["known", "estimated"])
+    @pytest.mark.parametrize("rule", [0.03, 1])
+    def test_fixed_tau_reaches_every_selector(self, monkeypatch, pi_mode, rule):
+        import musel.estimators as est
+        cfg = SimConfig(seed=3, n=20, p=10, s_list=(1,), delta_list=(0.05,),
+                        reps=2, tau_rule=rule, pi_mode=pi_mode,
+                        estimators=("MU", "CMU", "Dantzig"))
+        solves = []
+        self._spy(monkeypatch, est, "_solve_from_gram", solves)
+        run_experiment(cfg)
+        assert len(solves) == 3 * cfg.reps
+        for (_, _, solve_cfg), _ in solves:
+            assert type(solve_cfg.tau) is float and solve_cfg.tau == rule
+
     def test_estimated_pi_shares_the_gram(self, monkeypatch):
         import musel.estimators as est
         cfg = SimConfig(seed=4, n=20, p=10, s_list=(1,), delta_list=(0.05,),

@@ -14,16 +14,21 @@ last line of its output).  Then it times one
 ``python -m musel.cli estimate`` requests (missing mode, known pi) on one
 seeded, 10%-masked 100x500 CSV design, and 15 bare
 ``python -c "import musel"`` starts, each as the median wall time and the
-mean CPU time (``RUSAGE_CHILDREN``, user + system) per start.  The file
-holds the git sha (and whether tracked files differed from it), the
-environment block of the first run, every run's metrics, the median and
-quartiles of each metric per workload, the simulate times and the cold
-starts.  The file records numbers; it gates nothing.
+mean CPU time (``RUSAGE_CHILDREN``, user + system) per start.  Last it
+runs the Tier-1 suite once (``python -m pytest -q
+--continue-on-collection-errors -p no:cacheprovider`` with this checkout's
+src first on PYTHONPATH) and takes its wall and CPU time and its passed,
+skipped and failed counts.  The file holds the git sha (and whether
+tracked files differed from it), the environment block of the first run,
+every run's metrics, the median and quartiles of each metric per
+workload, the simulate times, the cold starts and the Tier-1 run.  The
+file records numbers; it gates nothing.
 """
 
 import argparse
 import json
 import os
+import re
 import resource
 import statistics
 import subprocess
@@ -63,12 +68,16 @@ def child_cpu():
     return r.ru_utime + r.ru_stime
 
 
+def src_env():
+    """The environment with this checkout's src first on PYTHONPATH."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")) if p))
+
+
 def timed(args):
     """Wall and CPU seconds of one ``python args...`` run on this checkout's src."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")) if p))
     cpu0, t0 = child_cpu(), time.monotonic()
-    subprocess.run([sys.executable, *args], env=env, check=True,
+    subprocess.run([sys.executable, *args], env=src_env(), check=True,
                    stdout=subprocess.DEVNULL)
     return time.monotonic() - t0, child_cpu() - cpu0
 
@@ -115,6 +124,23 @@ def cold_estimate():
                            ["-m", "musel.cli", *request])
 
 
+def tier1():
+    """Wall and CPU seconds and outcome counts of one Tier-1 suite run."""
+    args = ["-m", "pytest", "-q", "--continue-on-collection-errors",
+            "-p", "no:cacheprovider"]
+    cpu0, t0 = child_cpu(), time.monotonic()
+    out = subprocess.run([sys.executable, *args], cwd=ROOT, env=src_env(),
+                         capture_output=True, text=True).stdout
+    wall, cpu = time.monotonic() - t0, child_cpu() - cpu0
+    last = out.strip().splitlines()[-1]
+    counts = {kind: int(n) for n, kind in
+              re.findall(r"(\d+) (passed|skipped|failed)", last)}
+    return {"command": "python " + " ".join(args), "wall_s": wall,
+            "cpu_s": cpu, "summary": last.strip("= "),
+            **{kind: counts.get(kind, 0)
+               for kind in ("passed", "skipped", "failed")}}
+
+
 def git(*args):
     return subprocess.run(["git", "-C", ROOT, *args], capture_output=True,
                           text=True).stdout.strip()
@@ -155,6 +181,9 @@ def main():
         print(f"cold {name}: {1e3 * t['wall_s']['median']:.0f} ms wall "
               f"(median), {1e3 * t['cpu_s_mean']:.0f} ms CPU (mean)",
               file=sys.stderr)
+    suite = tier1()
+    print(f"tier-1: {suite['summary']}; {suite['wall_s']:.1f} s wall, "
+          f"{suite['cpu_s']:.1f} s CPU", file=sys.stderr)
     record = {
         "git_sha": git("rev-parse", "HEAD") or "unknown",
         # True when tracked files differed from that commit while measuring
@@ -165,6 +194,7 @@ def main():
                       "workloads": workloads},
         "simulate": simulate,
         "cold_start": cold,
+        "tier1": suite,
     }
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
