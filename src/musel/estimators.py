@@ -214,12 +214,13 @@ def solve_missing_data_cmu(Z_tilde, y, pi=None, *, config, path="rescale"):
     pi is the known missingness probability (scalar or per-column); pass
     None to estimate it from the zero frequency (pooled).  config, a
     required keyword, gives mu, tau and the domain; Dhat is
-    ``sigma_hat(Z_tilde, pi)``, and config.compensation is ignored.  Two
-    equivalent-in-spirit routes are exposed: path="rescale" rescales the
-    masked design by 1/(1-pi) and runs the standard compensated selector;
-    path="direct" keeps the masked design and solves the modified feasible
-    set |Z~'(y(1-pi) - Z~ theta)/n + Dhat theta|_inf <= mu|theta|_1 + tau,
-    which is the form used when pi had to be estimated.
+    ``sigma_hat(Z_tilde, pi)``, and config.compensation is ignored.
+    path="rescale" runs the compensated selector on Z_tilde/(1-pi): the
+    estimator of ``musel estimate --mode missing`` and ``musel simulate``.
+    path="direct" solves |Z~'(y(1-pi) - Z~ theta)/n + Dhat theta|_inf <=
+    mu|theta|_1 + tau on the masked design, the rescaled program with Dhat,
+    mu and tau divided by (1-pi)^2 (so Dhat over-compensates); it is kept
+    for ``--path direct``, which perfbench's estimate-p500 requests.
     """
     Z_tilde = as_matrix(Z_tilde, "Z_tilde")
     y = as_vector(y, "y")

@@ -4,9 +4,10 @@ Pipeline per replication: take the normalized Gaussian design of its s
 (drawn once per s, or afresh for each replication when
 ``SimConfig.fresh_design`` is set, which ``musel simulate`` reads from
 ``--config``), draw a sparse coefficient vector and Gaussian response
-noise, mask the design entrywise, rescale by the (known) keep
-probability, estimate the compensation diagonal, and solve each
-configured selector with mu = (1+delta)*delta.
+noise, mask the design entrywise, rescale by the keep probability 1 - pi
+(pi known, or estimated from the zero frequency), estimate the
+compensation diagonal, and solve each configured selector with
+mu = (1+delta)*delta.
 The selectors of one replication share one Gram Z'Z/n: the compensated
 selector solves on a copy with diag(Dhat) subtracted.  Replications
 aggregate into per-(s, delta, estimator) table rows with means, standard
@@ -32,9 +33,10 @@ import numpy as np
 
 from . import estimators
 from .core import normalize_design
-from .estimators import SelectorConfig, solve_missing_data_cmu
+from .estimators import SelectorConfig
 # unused here, but perfbench/probes.py wraps these names on this module
-from .estimators import solve_compensated_mu, solve_mu_selector  # noqa: F401
+from .estimators import (solve_compensated_mu, solve_missing_data_cmu,  # noqa: F401
+                         solve_mu_selector)
 from .missing import apply_mask, estimate_pi, rescale, sigma_hat
 
 _DESIGN_STREAM = 101
@@ -60,11 +62,11 @@ class SimConfig:
     largest column mean-square of the observed (rescaled) design; a
     missing m or e takes DEFAULT_TAU_RULE's.  The rule is a documented
     artifact default, exposed precisely because it is a knob; any other
-    tau_rule is rejected with ValueError.  pi_mode "known" uses pi_star
-    everywhere; "estimated" estimates it from the zero frequency and
-    routes the compensated selector through the masked-design feasible
-    set.  n must be an integer >= 2, p and reps integers >= 1, noise_sd
-    and theta_value finite with noise_sd >= 0, pi_star in [0, 1);
+    tau_rule is rejected with ValueError.  pi_mode chooses only the pi
+    every selector uses: "known" takes pi_star, "estimated" the pooled
+    zero frequency of each masked design.  n must be an integer >= 2, p
+    and reps integers >= 1, noise_sd and theta_value finite with
+    noise_sd >= 0, pi_star in [0, 1);
     s_list, delta_list and estimators are lists (stored as tuples), every
     s an integer in [0, p] and every delta finite and >= 0; fresh_design
     is a bool.  The constructor raises ValueError otherwise.  The support
@@ -254,9 +256,11 @@ def _design_for(config, s, delta, rep):
 def _run_cell_rep(config, X, s, delta, rep):
     """One replication: simulate data, run every configured estimator.
 
-    MU and Dantzig solve on G, c = Z'Z/n, Z'y/n; known-pi CMU solves on a
-    copy of G with diag(Dhat) subtracted, bitwise core.gram(Z, Dhat).
-    Estimated-pi CMU keeps its own program on the masked design.
+    pi is pi_star, or in estimated mode the pooled zero frequency of
+    Z_tilde.  MU and Dantzig solve on G, c = Z'Z/n, Z'y/n of
+    Z = Z_tilde/(1-pi); CMU on a copy of G minus diag(sigma_hat(Z_tilde,
+    pi)), bitwise core.gram(Z, Dhat), or it fails as "dead_column" where a
+    fully masked column leaves Dhat undefined.
     """
     ss = np.random.SeedSequence((config.seed, _DATA_STREAM, s,
                                  _delta_key(delta), rep))
@@ -267,34 +271,27 @@ def _run_cell_rep(config, X, s, delta, rep):
                      np.random.default_rng(c_resp))
     Z_tilde = apply_mask(X, config.pi_star, c_mask)
 
-    known = config.pi_mode == "known"
-    Z = rescale(Z_tilde, config.pi_star if known
-                else estimate_pi(Z_tilde, mode="pooled"))
-    # in estimated mode tau comes from the pi_hat-rescaled design, for comparability
+    pi = (config.pi_star if config.pi_mode == "known"
+          else estimate_pi(Z_tilde, mode="pooled"))
+    Z = rescale(Z_tilde, pi)
     tau = _tau_from_rule(config.tau_rule, Z, config.noise_sd)
-    mu = (1.0 + delta) * delta
-    base = SelectorConfig(mu=mu, tau=tau)
-    G = c = None
+    base = SelectorConfig(mu=(1.0 + delta) * delta, tau=tau)
+    G, c = estimators.selector_gram(Z, y)
     results = {}
     for name in config.estimators:
-        if name == "CMU" and not known:
-            est = solve_missing_data_cmu(Z_tilde, y, pi=None, config=base,
-                                         path="direct")
+        if name == "CMU" and not np.all(np.any(Z_tilde, axis=0)):
+            theta, status = np.zeros(config.p), "dead_column"
         else:
-            if G is None:
-                G, c = estimators.selector_gram(Z, y)
+            cfg, G_est = base, G
             if name == "CMU":
-                cfg = replace(base, compensation=sigma_hat(Z_tilde,
-                                                           config.pi_star))
-                G_cmu = G.copy()
-                G_cmu[np.diag_indices_from(G_cmu)] -= cfg.compensation
-                est = estimators._solve_from_gram(G_cmu, c, cfg)
-            else:  # Dantzig: mu = 0 regardless of delta
-                cfg = replace(base, mu=0.0) if name == "Dantzig" else base
-                est = estimators._solve_from_gram(G, c, cfg)
-        m = metrics(est.theta, theta_star, X)
-        m.status = est.status.value
-        results[name] = m
+                cfg = replace(base, compensation=sigma_hat(Z_tilde, pi))
+                G_est = G.copy()
+                G_est[np.diag_indices_from(G_est)] -= cfg.compensation
+            elif name == "Dantzig":  # mu = 0 regardless of delta
+                cfg = replace(base, mu=0.0)
+            est = estimators._solve_from_gram(G_est, c, cfg)
+            theta, status = est.theta, est.status.value
+        results[name] = replace(metrics(theta, theta_star, X), status=status)
     return results
 
 

@@ -365,6 +365,24 @@ class TestSimulate:
         assert (tmp_path / "f.csv.raw.json").read_text() == \
             json.dumps(raw, indent=2, sort_keys=True) + "\n"
 
+    def test_dead_column_counts_as_failed(self, runner, tmp_path):
+        """A mask that empties a whole column fails that replication's CMU
+        (status dead_column); the run itself succeeds."""
+        cfg = tmp_path / "dead.json"
+        cfg.write_text(json.dumps({"n": 4, "p": 40, "s_list": [1],
+                                   "delta_list": [0.05], "reps": 3,
+                                   "pi_star": 0.5}))
+        out = tmp_path / "d.csv"
+        r = runner.invoke(cli, ["simulate", "--config", str(cfg), "--seed", "1",
+                                "--out", str(out), "--raw"])
+        assert r.exit_code == 0, r.output
+        failed = {line.split(",")[0]: line.split(",")[-2]
+                  for line in out.read_text().splitlines()[1:]}
+        assert failed == {"MU": "0", "CMU": "3"}
+        raw = json.loads((tmp_path / "d.csv.raw.json").read_text())
+        assert [x["status"] for x in raw if x["estimator"] == "CMU"] == \
+            ["dead_column"] * 3
+
     def test_schema(self, runner, tmp_path):
         cfg = self._cfg(tmp_path)
         out = tmp_path / "t.csv"

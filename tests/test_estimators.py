@@ -340,6 +340,23 @@ class TestMissingData:
         expect = float(np.max(np.abs(c - G @ est.theta))) - (0.11 * l1 + 0.05)
         assert est.residual == expect
 
+    @pytest.mark.parametrize("seed", [33, 34, 35])
+    def test_direct_is_rescaled_cmu_scaled(self, seed):
+        # the direct route is the rescale route with Dhat, mu and tau each
+        # divided by (1 - pi_hat)^2: same feasible set, same objective
+        _, _, y, Z_tilde = selector_instance(seed, n=40, p=120, s=2, pi=0.1)
+        cfg = SelectorConfig(mu=0.11, tau=0.02)
+        direct = solve_missing_data_cmu(Z_tilde, y, pi=None, config=cfg,
+                                        path="direct")
+        pi = estimate_pi(Z_tilde)
+        k = (1.0 - pi) ** 2
+        scaled = SelectorConfig(mu=cfg.mu / k, tau=cfg.tau / k,
+                                compensation=sigma_hat(Z_tilde, pi) / k)
+        ref = solve_compensated_mu(rescale(Z_tilde, pi), y, scaled)
+        assert direct.status is LpStatus.OPTIMAL
+        assert ref.status is LpStatus.OPTIMAL
+        assert direct.l1_norm == pytest.approx(ref.l1_norm, rel=1e-9)
+
     def test_direct_needs_scalar_pi(self, rng):
         Z = np.abs(rng.standard_normal((5, 3))) + 0.1
         cfg = SelectorConfig(mu=0.1, tau=0.2)

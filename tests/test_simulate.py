@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from musel.core import gram
-from musel.estimators import (selector_gram, solve_compensated_mu,
-                               solve_dantzig, solve_mu_selector)
+from musel.estimators import (SelectorConfig, selector_gram,
+                               solve_compensated_mu, solve_dantzig,
+                               solve_missing_data_cmu, solve_mu_selector)
 from musel.missing import sigma_hat, apply_mask
 from musel.simulate import (SimConfig, config_from_preset, gen_design,
                             gen_response, gen_theta, metrics, rows_to_csv,
@@ -186,6 +187,25 @@ class TestRunExperiment:
         fresh = run_experiment(SimConfig(fresh_design=True, **base), workers=1)
         assert rows_to_csv(fixed) != rows_to_csv(fresh)
 
+    @pytest.mark.parametrize("pi_mode", ["known", "estimated"])
+    def test_dead_column_fails_cmu_only(self, pi_mode):
+        # at n=4 the seed-4 masks of reps 1 and 2 empty a whole column,
+        # where sigma_hat is undefined: those CMU replications fail
+        base = dict(seed=4, n=4, p=40, s_list=(1,), delta_list=(0.05,),
+                    reps=4, pi_star=0.3, pi_mode=pi_mode)
+        rows, raw = run_experiment(
+            SimConfig(estimators=("MU", "CMU", "Dantzig"), **base),
+            collect_raw=True)
+        cmu = [r for r in raw if r["estimator"] == "CMU"]
+        assert [r["status"] for r in cmu] == [
+            "optimal", "dead_column", "dead_column", "optimal"]
+        row = {r.estimator: r for r in rows}
+        assert row["CMU"].failed == 2
+        assert row["CMU"].err1_mean == pytest.approx(
+            np.mean([cmu[0]["err1"], cmu[3]["err1"]]), rel=1e-12)
+        alone = run_experiment(SimConfig(estimators=("MU", "Dantzig"), **base))
+        assert rows_to_csv([row["MU"], row["Dantzig"]]) == rows_to_csv(alone)
+
     def test_unknown_estimator_rejected(self):
         with pytest.raises(ValueError, match="unknown estimators"):
             SimConfig(seed=1, estimators=("Lasso",))
@@ -206,12 +226,13 @@ class TestReplicationSchedule:
             return res
         monkeypatch.setattr(module, attr, spy)
 
-    def test_one_gram_per_replication(self, monkeypatch):
+    @pytest.mark.parametrize("pi_mode", ["known", "estimated"])
+    def test_one_gram_per_replication(self, monkeypatch, pi_mode):
         import musel.estimators as est
         import musel.simulate as sim
-        from musel.missing import rescale
+        from musel.missing import estimate_pi, rescale
         cfg = SimConfig(seed=6, n=20, p=10, s_list=(1, 2),
-                        delta_list=(0.0, 0.05), reps=2,
+                        delta_list=(0.0, 0.05), reps=2, pi_mode=pi_mode,
                         estimators=("MU", "CMU", "Dantzig"))
         grams, solves, masks, responses = [], [], [], []
         self._spy(monkeypatch, est, "selector_gram", grams)
@@ -224,10 +245,12 @@ class TestReplicationSchedule:
         n_reps = len(cfg.s_list) * len(cfg.delta_list) * cfg.reps
         assert len(grams) == n_reps
         assert len(solves) == 3 * n_reps
+        known = pi_mode == "known"
         for r in range(n_reps):
             Z_tilde, y = masks[r][1], responses[r][1]
-            Z = rescale(Z_tilde, cfg.pi_star)
-            dhat = sigma_hat(Z_tilde, cfg.pi_star)
+            pi = cfg.pi_star if known else estimate_pi(Z_tilde)
+            Z = rescale(Z_tilde, pi)
+            dhat = sigma_hat(Z_tilde, pi)
             (_, _, mu_cfg), mu_est = solves[3 * r]
             (_, _, cmu_cfg), cmu_est = solves[3 * r + 1]
             (_, _, dz_cfg), dz_est = solves[3 * r + 2]
@@ -240,6 +263,11 @@ class TestReplicationSchedule:
                 assert got.status is want.status
                 assert np.array_equal(got.theta, want.theta)
                 assert got.residual == want.residual
+            # CMU is the library's masked-design selector, pi_hat included
+            lib = solve_missing_data_cmu(
+                Z_tilde, y, pi=cfg.pi_star if known else None,
+                config=SelectorConfig(mu=cmu_cfg.mu, tau=cmu_cfg.tau))
+            assert np.array_equal(cmu_est.theta, lib.theta)
 
     @pytest.mark.parametrize("pi_mode", ["known", "estimated"])
     @pytest.mark.parametrize("rule", [0.03, 1])
@@ -260,10 +288,12 @@ class TestReplicationSchedule:
         cfg = SimConfig(seed=4, n=20, p=10, s_list=(1,), delta_list=(0.05,),
                         reps=3, pi_mode="estimated",
                         estimators=("MU", "CMU", "Dantzig"))
-        grams = []
+        grams, products = [], []
         self._spy(monkeypatch, est, "selector_gram", grams)
+        self._spy(monkeypatch, est, "gram", products)
         run_experiment(cfg, workers=1)
         assert len(grams) == cfg.reps
+        assert len(products) == cfg.reps
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_wrapped_replication_sees_every_call(self, monkeypatch, workers):

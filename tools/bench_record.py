@@ -14,15 +14,20 @@ last line of its output).  Then it times one
 ``python -m musel.cli estimate`` requests (missing mode, known pi) on one
 seeded, 10%-masked 100x500 CSV design, and 15 bare
 ``python -c "import musel"`` starts, each as the median wall time and the
-mean CPU time (``RUSAGE_CHILDREN``, user + system) per start.  Last it
-runs the Tier-1 suite once (``python -m pytest -q
---continue-on-collection-errors -p no:cacheprovider`` with this checkout's
-src first on PYTHONPATH) and takes its wall and CPU time and its passed,
-skipped and failed counts.  The file holds the git sha (and whether
-tracked files differed from it), the environment block of the first run,
-every run's metrics, the median and quartiles of each metric per
-workload, the simulate times, the cold starts and the Tier-1 run.  The
-file records numbers; it gates nothing.
+mean CPU time (``RUSAGE_CHILDREN``, user + system) per start.  It times
+``kappa_inf_exact(psi, 1)`` and ``kappa_lower_bound(psi, 2)`` on the
+seeded, normalized 100x500 Gram of tests/conftest.py's
+``normalized_gram(500, 100, 1)``, each in a fresh interpreter, as the
+process's wall and CPU time, the result's own ``wall_time``, its
+``lp_count`` and its value.  Last it runs the Tier-1 suite once
+(``python -m pytest -q --continue-on-collection-errors -p
+no:cacheprovider`` with this checkout's src first on PYTHONPATH) and
+takes its wall and CPU time and its passed, skipped and failed counts.
+The file holds the git sha (and whether tracked files differed from it),
+the environment block of the first run, every run's metrics, the median
+and quartiles of each metric per workload, the simulate times, the cold
+starts, the sensitivities and the Tier-1 run.  The file records
+numbers; it gates nothing.
 """
 
 import argparse
@@ -43,6 +48,21 @@ WORKLOADS = ("sim-reduced", "estimate-p500", "sens-fixedpoint")
 SEEDS = (1001, 1002, 1003, 1004, 1005)
 SECONDS = 30.0
 COLD_STARTS = 15
+SENSITIVITIES = (("kappa_inf_exact", 1), ("kappa_lower_bound", 2))
+
+# one sensitivity call on normalized_gram(500, 100, 1) of tests/conftest.py
+SENSITIVITY_CODE = """
+import json, sys
+import numpy as np
+from musel import sensitivity
+rng = np.random.default_rng(1)
+X = rng.standard_normal((100, 500))
+X -= X.mean(axis=0)
+X /= np.sqrt((X ** 2).mean(axis=0))
+r = getattr(sensitivity, sys.argv[1])(X.T @ X / 100, int(sys.argv[2]))
+print(json.dumps({"value": r.value, "lp_count": r.lp_count,
+                  "call_wall_s": r.wall_time}))
+"""
 
 
 def perfbench(workload, seed):
@@ -124,6 +144,17 @@ def cold_estimate():
                            ["-m", "musel.cli", *request])
 
 
+def sensitivity_times(name, s):
+    """One ``name(psi, s)`` call in a fresh interpreter on this checkout's src."""
+    cpu0, t0 = child_cpu(), time.monotonic()
+    out = subprocess.run([sys.executable, "-c", SENSITIVITY_CODE, name, str(s)],
+                         env=src_env(), check=True, capture_output=True,
+                         text=True).stdout
+    wall, cpu = time.monotonic() - t0, child_cpu() - cpu0
+    return {"call": f"{name}(normalized_gram(500, 100, 1), {s})",
+            "wall_s": wall, "cpu_s": cpu, **json.loads(out)}
+
+
 def tier1():
     """Wall and CPU seconds and outcome counts of one Tier-1 suite run."""
     args = ["-m", "pytest", "-q", "--continue-on-collection-errors",
@@ -181,6 +212,12 @@ def main():
         print(f"cold {name}: {1e3 * t['wall_s']['median']:.0f} ms wall "
               f"(median), {1e3 * t['cpu_s_mean']:.0f} ms CPU (mean)",
               file=sys.stderr)
+    sens = {f"{name}_s{s}": sensitivity_times(name, s)
+            for name, s in SENSITIVITIES}
+    for key, t in sens.items():
+        print(f"{key}: {t['call_wall_s']:.1f} s in the call, {t['wall_s']:.1f} s "
+              f"wall, {t['cpu_s']:.1f} s CPU, {t['lp_count']} LPs, "
+              f"value {t['value']:.4g}", file=sys.stderr)
     suite = tier1()
     print(f"tier-1: {suite['summary']}; {suite['wall_s']:.1f} s wall, "
           f"{suite['cpu_s']:.1f} s CPU", file=sys.stderr)
@@ -194,6 +231,7 @@ def main():
                       "workloads": workloads},
         "simulate": simulate,
         "cold_start": cold,
+        "sensitivity": sens,
         "tier1": suite,
     }
     with open(args.out, "w") as fh:
