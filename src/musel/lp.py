@@ -23,11 +23,15 @@ the pivot row disagree on, and before OPTIMAL, INFEASIBLE or any other
 verdict is returned, so every result comes from a fresh factor.  A singular
 block is repaired by swapping a dependent column for its row's slack.
 
-Leaving rows are priced by dual steepest edge among the most infeasible
-ones, entering columns by a bound-flipping ratio test with Harris's
-tolerance.  Ties break toward the lowest variable index and a dual
-Bland rule takes over after a run of degenerate pivots, so repeated solves
-of the same problem are bitwise reproducible.
+After a pivot that moved the dual objective, the leaving row is priced by
+dual steepest edge (Forrest & Goldfarb 1992) among the 32 most infeasible
+rows.  After a degenerate pivot, one whose dual step had length zero, the
+steepest-edge ratio rates a gain per unit of a step that did not happen, so
+the most infeasible row leaves instead, and no weight is computed.  A dual
+Bland rule takes over after a run of 50 + 2m degenerate pivots.  Entering
+columns are chosen by a bound-flipping ratio test with Harris's tolerance.
+Ties break toward the lowest variable index, so repeated solves of the same
+problem are bitwise reproducible.
 
 Every solve uses the same tolerances, 1e-9 on bound violations
 (``DEFAULT_FEAS_TOL``) and on reduced costs (``DEFAULT_OPT_TOL``); the
@@ -170,6 +174,8 @@ class _DualSimplex:
         self.refactors = 0
         self.updates = 0
         self.restarts = 0
+        self.degenerate = 0
+        self.bland = 0
         self.pos = np.zeros(self.n + self.m, dtype=np.intp)
         self._S = self._R = np.empty(0, dtype=np.intp)
         self._K = np.empty((0, 0))
@@ -407,7 +413,14 @@ class _DualSimplex:
                 return LpStatus.ITERATION_LIMIT if cand.size else LpStatus.OPTIMAL
 
             bland = degenerate_run > bland_after
-            if not bland and cand.size > _PRICE_TOP:
+            if bland:
+                cand = cand[:1]
+            elif degenerate_run:
+                # the last step did not move the dual objective, so the
+                # steepest-edge ratio rates a gain that did not happen:
+                # take the most infeasible row (lowest index on ties)
+                cand = cand[np.argmax(viol[cand])][None]
+            elif cand.size > _PRICE_TOP:
                 # price only the most infeasible rows: weights cost k^2 each
                 top = np.argsort(-viol[cand], kind="stable")[:_PRICE_TOP]
                 cand = np.sort(cand[top])
@@ -420,9 +433,8 @@ class _DualSimplex:
                 P[:split] = Kinv[self.pos[cand[:split]]]
             if split < cand.size:
                 P[split:] = -(self._AST[:S.size, cand[split:] - n].T @ Kinv)
-            if bland:
-                pick = 0
-            else:
+            pick = 0
+            if cand.size > 1:
                 weight = np.einsum("ij,ij->i", P, P)
                 weight[split:] += 1.0
                 pick = int(np.argmax(viol[cand] ** 2 / weight))
@@ -480,7 +492,12 @@ class _DualSimplex:
                 pos = int(within[np.argmax(abs_a[within])])
             q = int(J[pos])
             self.iters += 1
-            degenerate_run = degenerate_run + 1 if ratio[pos] <= _DEGEN_EPS else 0
+            self.bland += bland
+            if ratio[pos] <= _DEGEN_EPS:
+                self.degenerate += 1
+                degenerate_run += 1
+            else:
+                degenerate_run = 0
 
             target = lo[r] if sigma > 0 else up[r]
             if updated < _REFACTOR_EVERY and self._update(q, r, sigma, target, a, rho):
@@ -512,7 +529,9 @@ def solve_lp(lp, max_iters=None):
     proved it.  Every status reports, in ``diagnostics``, the block
     factorizations (``refactors``, the terminal one and each repair attempt
     included), the in-place block ``updates``, the singular-block
-    ``repairs`` and the ``restarts`` from the all-slack basis.
+    ``repairs``, the ``restarts`` from the all-slack basis, the
+    ``degenerate`` pivots (dual step of length at most ``_DEGEN_EPS``) and
+    the ``bland`` pivots, those whose leaving row Bland's rule chose.
     """
     if not isinstance(lp, LinearProgram):
         raise TypeError("solve_lp expects a LinearProgram")
@@ -543,7 +562,8 @@ def solve_lp(lp, max_iters=None):
 
     x = eng.x[:n].copy()
     diagnostics = {"refactors": eng.refactors, "updates": eng.updates,
-                   "repairs": eng.repairs, "restarts": eng.restarts}
+                   "repairs": eng.repairs, "restarts": eng.restarts,
+                   "degenerate": eng.degenerate, "bland": eng.bland}
     if status is LpStatus.INFEASIBLE:
         diagnostics["infeasibility"] = eng.violation
         return LpSolution(status, x, np.nan, eng.iters, farkas_y=eng.farkas,

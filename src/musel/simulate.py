@@ -260,7 +260,8 @@ def _run_cell_rep(config, X, s, delta, rep):
     Z_tilde.  MU and Dantzig solve on G, c = Z'Z/n, Z'y/n of
     Z = Z_tilde/(1-pi); CMU on a copy of G minus diag(sigma_hat(Z_tilde,
     pi)), bitwise core.gram(Z, Dhat), or it fails as "dead_column" where a
-    fully masked column leaves Dhat undefined.
+    fully masked column leaves Dhat undefined.  A mask that hides every
+    entry (estimated pi of 1) fails every estimator as "all_masked".
     """
     ss = np.random.SeedSequence((config.seed, _DATA_STREAM, s,
                                  _delta_key(delta), rep))
@@ -273,6 +274,11 @@ def _run_cell_rep(config, X, s, delta, rep):
 
     pi = (config.pi_star if config.pi_mode == "known"
           else estimate_pi(Z_tilde, mode="pooled"))
+    if pi == 1.0:
+        # the mask hid every entry: no selector has data to rescale
+        failed = replace(metrics(np.zeros(config.p), theta_star, X),
+                         status="all_masked")
+        return {name: failed for name in config.estimators}
     Z = rescale(Z_tilde, pi)
     tau = _tau_from_rule(config.tau_rule, Z, config.noise_sd)
     base = SelectorConfig(mu=(1.0 + delta) * delta, tau=tau)

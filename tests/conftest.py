@@ -103,6 +103,23 @@ def lp_stops(monkeypatch):
 
 
 @pytest.fixture
+def lp_solutions(monkeypatch):
+    """lp_solutions(module) records every LpSolution that ``module.solve_lp``
+    returns from then on; returns the list."""
+    def install(module):
+        real, solved = module.solve_lp, []
+
+        def solve(lp, *args, **kwargs):
+            sol = real(lp, *args, **kwargs)
+            solved.append(sol)
+            return sol
+
+        monkeypatch.setattr(module, "solve_lp", solve)
+        return solved
+    return install
+
+
+@pytest.fixture
 def third_lp_stops(lp_stops):
     """Make the third LP that musel.sensitivity solves end at its iteration
     limit; returns the list of LPs solved so far."""

@@ -383,6 +383,26 @@ class TestSimulate:
         assert [x["status"] for x in raw if x["estimator"] == "CMU"] == \
             ["dead_column"] * 3
 
+    def test_all_masked_counts_as_failed(self, runner, tmp_path):
+        """In estimated-pi mode a mask that hides every entry gives pi_hat =
+        1: that replication fails for every estimator (status all_masked);
+        the run itself succeeds."""
+        cfg = tmp_path / "masked.json"
+        cfg.write_text(json.dumps({"n": 2, "p": 1, "s_list": [1],
+                                   "delta_list": [0.05], "reps": 5,
+                                   "pi_star": 0.9, "pi_mode": "estimated"}))
+        out = tmp_path / "m.csv"
+        r = runner.invoke(cli, ["simulate", "--config", str(cfg), "--seed", "1",
+                                "--out", str(out), "--raw"])
+        assert r.exit_code == 0, r.output
+        failed = {line.split(",")[0]: line.split(",")[-2]
+                  for line in out.read_text().splitlines()[1:]}
+        assert failed == {"MU": "3", "CMU": "3"}
+        raw = json.loads((tmp_path / "m.csv.raw.json").read_text())
+        for name in ("MU", "CMU"):
+            assert [x["status"] for x in raw if x["estimator"] == name] == \
+                ["all_masked", "optimal", "optimal", "all_masked", "all_masked"]
+
     def test_schema(self, runner, tmp_path):
         cfg = self._cfg(tmp_path)
         out = tmp_path / "t.csv"

@@ -229,19 +229,22 @@ def test_determinism_bitwise():
 
 
 def test_degenerate_lp_terminates():
-    # many redundant constraints through the origin force degenerate pivots;
-    # the rows x <= 1 make the bounds x <= 1 redundant, so the reflection
-    # x -> 1 - x states the same LP
+    # min t with t >= every row of A x over x in [0, 1]^n and x_0 = 1: only t
+    # has a cost, so the reduced costs of the x_j are often zero and dual
+    # steps of length zero follow
     n = 4
-    rng = np.random.default_rng(9)
-    A = np.vstack([rng.standard_normal((8, n)), np.eye(n)])
-    b = np.concatenate([np.zeros(8), np.ones(n)])
-    lp, _, _ = in_contract(LinearProgram(c=-np.ones(n), A_ub=A, b_ub=b,
-                                         lower=np.zeros(n), upper=np.ones(n)))
+    rng = np.random.default_rng(0)
+    A = np.hstack([rng.standard_normal((8, n)), -np.ones((8, 1))])
+    lp = LinearProgram(c=np.r_[np.zeros(n), 1.0], A_ub=A, b_ub=np.zeros(8),
+                       lower=np.r_[1.0, np.zeros(n)],
+                       upper=np.r_[np.ones(n), np.inf])
     sol = solve_lp(lp)
-    assert sol.status in (LpStatus.OPTIMAL, LpStatus.INFEASIBLE)
-    if sol.status is LpStatus.OPTIMAL:
-        assert check_solution(lp, sol) <= 1e-9
+    assert sol.status is LpStatus.OPTIMAL
+    assert sol.diagnostics["degenerate"] > 0
+    assert check_solution(lp, sol) <= 1e-9
+    status, best = vertex_enum_oracle(lp)
+    assert status == "optimal"
+    assert sol.objective_value == pytest.approx(best, abs=1e-9)
 
 
 def _rank_deficient_lp():
@@ -326,6 +329,8 @@ def test_diagnostics_on_every_status(lp, max_iters, status):
     assert sol.diagnostics["updates"] >= 0
     assert sol.diagnostics["repairs"] == 0
     assert sol.diagnostics["restarts"] == 0
+    assert 0 <= sol.diagnostics["degenerate"] <= sol.iterations
+    assert sol.diagnostics["bland"] == 0
 
 
 def _dense_state(eng, c, b, lo, up):
@@ -406,6 +411,22 @@ def test_long_solve_bitwise_reproducible():
     assert np.array_equal(s1.x, s2.x)
     assert s1.objective_value == s2.objective_value
     assert s1.iterations == s2.iterations
+
+
+@pytest.mark.parametrize("domain", ["nonneg", "free"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_selector_lps_never_pivot_degenerately(seed, domain, lp_solutions):
+    """The selector LPs' dual steps all have positive length, so the
+    most-infeasible rule after a degenerate pivot never prices them: their
+    pivots are those of dual steepest edge alone."""
+    solved = lp_solutions(estimators)
+    _, _, y, Z_tilde = selector_instance(seed, 40, 120, s=2)
+    for mu in (0.0, 0.11):
+        config = SelectorConfig(mu=mu, tau=0.02, domain=domain)
+        estimators.solve_missing_data_cmu(Z_tilde, y, pi=0.1, config=config)
+        estimators.solve_mu_selector(Z_tilde / 0.9, y, config)
+    assert sum(sol.iterations for sol in solved) > 0
+    assert [sol.diagnostics["degenerate"] for sol in solved] == [0] * len(solved)
 
 
 def test_refactors_follow_the_schedule():

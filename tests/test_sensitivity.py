@@ -504,6 +504,19 @@ class TestKappaLowerBound:
         exact = kappa_inf_exact(psi, 1).value
         assert abs(lb - exact) <= 1e-12
 
+    def test_pivots_after_degenerate_steps(self, lp_solutions):
+        """Only t has a cost in the anchor relaxations, so many dual steps
+        have length zero; the most infeasible row leaves after them.  Dual
+        steepest edge alone took 3539 + 3531 + 3432 = 10502 pivots on these
+        Grams, the rule 1913 + 2027 + 2029 = 5969, with the same values."""
+        solved = lp_solutions(sensitivity)
+        values = [kappa_lower_bound(normalized_gram(60, 40, seed), 2).value
+                  for seed in (1, 2, 3)]
+        assert values == [0.06680500565738717, 0.050346751016892274,
+                          0.06040007351263967]
+        assert len(solved) == 180
+        assert sum(sol.iterations for sol in solved) <= 6500
+
     def test_nonincreasing_in_s(self):
         psi = normalized_gram(6, 50, 5)
         vals = [kappa_lower_bound(psi, s).value for s in (1, 2, 3)]

@@ -19,7 +19,9 @@ mean CPU time (``RUSAGE_CHILDREN``, user + system) per start.  It times
 seeded, normalized 100x500 Gram of tests/conftest.py's
 ``normalized_gram(500, 100, 1)``, each in a fresh interpreter, as the
 process's wall and CPU time, the result's own ``wall_time``, its
-``lp_count`` and its value.  Last it runs the Tier-1 suite once
+``lp_count``, the pivots summed over its LPs (``LpSolution.iterations``,
+counted through a wrapper on ``musel.sensitivity.solve_lp``) and its
+value.  Last it runs the Tier-1 suite once
 (``python -m pytest -q --continue-on-collection-errors -p
 no:cacheprovider`` with this checkout's src first on PYTHONPATH) and
 takes its wall and CPU time and its passed, skipped and failed counts.
@@ -50,18 +52,25 @@ SECONDS = 30.0
 COLD_STARTS = 15
 SENSITIVITIES = (("kappa_inf_exact", 1), ("kappa_lower_bound", 2))
 
-# one sensitivity call on normalized_gram(500, 100, 1) of tests/conftest.py
+# one sensitivity call on normalized_gram(500, 100, 1) of tests/conftest.py,
+# summing the pivots of every LP it solves
 SENSITIVITY_CODE = """
 import json, sys
 import numpy as np
 from musel import sensitivity
+solve, pivots = sensitivity.solve_lp, []
+def counted(lp, *args, **kwargs):
+    sol = solve(lp, *args, **kwargs)
+    pivots.append(sol.iterations)
+    return sol
+sensitivity.solve_lp = counted
 rng = np.random.default_rng(1)
 X = rng.standard_normal((100, 500))
 X -= X.mean(axis=0)
 X /= np.sqrt((X ** 2).mean(axis=0))
 r = getattr(sensitivity, sys.argv[1])(X.T @ X / 100, int(sys.argv[2]))
 print(json.dumps({"value": r.value, "lp_count": r.lp_count,
-                  "call_wall_s": r.wall_time}))
+                  "pivots": sum(pivots), "call_wall_s": r.wall_time}))
 """
 
 
@@ -217,6 +226,7 @@ def main():
     for key, t in sens.items():
         print(f"{key}: {t['call_wall_s']:.1f} s in the call, {t['wall_s']:.1f} s "
               f"wall, {t['cpu_s']:.1f} s CPU, {t['lp_count']} LPs, "
+              f"{t['pivots']} pivots, "
               f"value {t['value']:.4g}", file=sys.stderr)
     suite = tier1()
     print(f"tier-1: {suite['summary']}; {suite['wall_s']:.1f} s wall, "
