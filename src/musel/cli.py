@@ -6,8 +6,8 @@ calculus).  Structured results are JSON; tables are CSV.  All writes are
 atomic (temp file + rename), and every subcommand is a pure function of its
 arguments, input files and seed.
 
-Exit codes: 0 ok; 1 malformed CSV; 2 infeasible; 3 iteration limit (of
-the selector LP or of a sensitivity LP); 64 usage error (among them an
+Exit codes: 0 ok; 1 malformed CSV; 2 infeasible (the selector's feasible
+set is empty); 3 iteration limit (of a selector LP or of a sensitivity LP); 64 usage error (among them an
 ``--out`` whose directory does not exist, found before any work).
 """
 

@@ -20,12 +20,13 @@ all of R^p it is the same LP for [G, -G] in x = (theta+, theta-) >= 0:
   |c - G theta|_inf <= mu*r + tau exists, the optimum has no such pair: a
   pair would give g(v) < v, hence v > r* >= v.
 
-When a pair does occur, p <= ORTHANT_P_MAX takes the least of the 2^p
-LPs with the signs of theta fixed; a larger p is reported INFEASIBLE.
+When a pair does occur, the search branches on the sign of a paired
+index (Land & Doig 1960): each branch is the same LP with one part of that
+index held at 0, so its value bounds every theta of that sign below, and
+the least pair-free optimum over the branches is the selector's optimum.
 """
 
 from dataclasses import dataclass, replace
-from itertools import product
 from typing import ClassVar
 
 import numpy as np
@@ -34,7 +35,6 @@ from .core import as_matrix, as_vector, gram
 from .lp import DEFAULT_FEAS_TOL, LinearProgram, LpStatus, solve_lp
 from .missing import check_no_dead_columns, estimate_pi, rescale, sigma_hat
 
-ORTHANT_P_MAX = 6       # largest p whose paired optimum falls back to orthants
 NONZERO_THRESHOLD = 1e-8  # |theta_j| above which j counts as support
 
 
@@ -78,7 +78,9 @@ class Estimate:
     support holds the indices with |theta_j| above NONZERO_THRESHOLD;
     residual is |c - G theta|_inf - (mu*|theta|_1 + tau) for the (G, c) the
     selector solved over (<= feas_tol when theta is feasible); fp_rounds
-    counts the LPs the free-domain path solved (None on the nonneg path).
+    counts the LPs the free-domain search solved, the branches included
+    (None on the nonneg path, which solves one LP).  iterations sums the
+    pivots of every LP solved.
     """
 
     theta: np.ndarray
@@ -116,58 +118,6 @@ def _direct_lp(G, c, mu, tau):
     return LinearProgram(c=np.ones(n), A_ub=A, b_ub=b)
 
 
-def _make_estimate(theta, status, iterations, **kw):
-    l1 = float(np.sum(np.abs(theta)))
-    support = np.nonzero(np.abs(theta) > NONZERO_THRESHOLD)[0]
-    return Estimate(theta=theta, l1_norm=l1, support=support,
-                    status=status, iterations=iterations, **kw)
-
-
-def _solve_nonneg(G, c, config):
-    sol = solve_lp(_direct_lp(G, c, config.mu, config.tau))
-    theta = sol.x if sol.status is LpStatus.OPTIMAL else np.zeros(G.shape[0])
-    return _make_estimate(theta, sol.status, sol.iterations)
-
-
-def _solve_free(G, c, config):
-    """The selector LP of [G, -G] over x = (theta+, theta-) >= 0.
-
-    An optimal x with no index positive in both parts is certified optimal
-    (module docstring).  A pair at the optimum means g(r) = r has no root;
-    for p <= ORTHANT_P_MAX the 2^p sign orthants are then solved instead,
-    otherwise the result is INFEASIBLE with theta = 0.
-    """
-    p = G.shape[0]
-    sol = solve_lp(_direct_lp(np.hstack([G, -G]), c, config.mu, config.tau))
-    theta, status = np.zeros(p), sol.status
-    if status is LpStatus.OPTIMAL:
-        split = float(np.sum(sol.x))
-        theta = sol.x[:p] - sol.x[p:]
-        if split - np.sum(np.abs(theta)) > config.feas_tol * (1.0 + split):
-            if p <= ORTHANT_P_MAX:
-                return _solve_orthants(G, c, config, sol.iterations)
-            theta, status = np.zeros(p), LpStatus.INFEASIBLE
-    return _make_estimate(theta, status, sol.iterations, fp_rounds=1)
-
-
-def _solve_orthants(G, c, config, iterations):
-    """The least of the 2^p orthant LPs: in the orthant of sign vector
-    sigma, theta = sigma*x with x >= 0 and |theta|_1 = 1'x, which is the
-    selector LP of G*sigma.  An orthant that ends neither OPTIMAL nor
-    INFEASIBLE leaves the minimum unproven: its status is returned."""
-    p = G.shape[0]
-    best, theta, status = np.inf, np.zeros(p), LpStatus.INFEASIBLE
-    for rounds, sigma in enumerate(product((1.0, -1.0), repeat=p), start=2):
-        sol = solve_lp(_direct_lp(G * sigma, c, config.mu, config.tau))
-        iterations += sol.iterations
-        if sol.status is LpStatus.OPTIMAL and sol.objective_value < best:
-            best, theta, status = sol.objective_value, sigma * sol.x, sol.status
-        elif sol.status not in (LpStatus.OPTIMAL, LpStatus.INFEASIBLE):
-            theta, status = np.zeros(p), sol.status
-            break
-    return _make_estimate(theta, status, iterations, fp_rounds=rounds)
-
-
 def _residual(G, c, theta, mu, tau):
     """|c - G theta|_inf - (mu*|theta|_1 + tau): <= 0 exactly on the
     selector feasible set of (G, c)."""
@@ -176,10 +126,53 @@ def _residual(G, c, theta, mu, tau):
 
 
 def _solve_from_gram(G, c, config):
-    solve = _solve_nonneg if config.domain == "nonneg" else _solve_free
-    est = solve(G, c, config)
-    est.residual = _residual(G, c, est.theta, config.mu, config.tau)
-    return est
+    """The selector over (G, c): the LP of G for "nonneg", of [G, -G] for
+    "free".  While a free-domain optimum pairs, its LP gives way to two
+    copies, one with theta_j- held at 0 (solved first) and one with
+    theta_j+ held at 0, for the first j with the largest min(theta_j+,
+    theta_j-).  The search runs depth first and drops a copy that is
+    INFEASIBLE or not below the best pair-free optimum so far; with none
+    found the result is INFEASIBLE.  A solve that ends neither OPTIMAL nor
+    INFEASIBLE leaves the minimum unproven: its status is returned."""
+    p = G.shape[0]
+    free = config.domain == "free"
+    lp = _direct_lp(np.hstack([G, -G]) if free else G, c, config.mu, config.tau)
+    nodes, best, theta = [lp], np.inf, np.zeros(p)
+    status, iterations, rounds = LpStatus.INFEASIBLE, 0, 0
+    while nodes:
+        node = nodes.pop()
+        sol = solve_lp(node)
+        rounds += 1
+        iterations += sol.iterations
+        if sol.status is LpStatus.INFEASIBLE:
+            continue
+        if sol.status is not LpStatus.OPTIMAL:
+            theta, status = np.zeros(p), sol.status
+            break
+        if sol.objective_value >= best:
+            continue
+        x = sol.x
+        split = float(np.sum(x))
+        signed = x[:p] - x[p:] if free else x
+        # a nonneg x has split <= |x|_1, so only the free domain pairs
+        if split - np.sum(np.abs(signed)) <= config.feas_tol * (1.0 + split):
+            best, theta, status = sol.objective_value, signed, sol.status
+            continue
+        # split - |theta|_1 = 2 sum_j min(theta_j+, theta_j-) > 0 here, and a
+        # held part stays at exactly 0 (fixed variables never enter the
+        # basis), so j is not yet held and the search ends within depth p
+        j = int(np.argmax(np.minimum(x[:p], x[p:])))
+        # pushed last, the copy with theta_j- held (theta_j >= 0) runs first
+        for held in (j, p + j):
+            upper = node.upper.copy()
+            upper[held] = 0.0
+            nodes.append(replace(node, upper=upper))
+    l1 = float(np.sum(np.abs(theta)))
+    return Estimate(theta=theta, l1_norm=l1,
+                    support=np.nonzero(np.abs(theta) > NONZERO_THRESHOLD)[0],
+                    status=status, iterations=iterations,
+                    residual=_residual(G, c, theta, config.mu, config.tau),
+                    fp_rounds=rounds if free else None)
 
 
 def solve_compensated_mu(Z, y, config):

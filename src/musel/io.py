@@ -27,51 +27,38 @@ def read_matrix(path, header=False):
     Blank lines are skipped, but errors count them in the row number.
     Each row is converted by one ``np.array(fields, dtype=float)``, which
     parses every string exactly as ``float()`` does; a ragged row, an
-    unparsable cell or a non-finite value sends the file to ``_scan``,
-    which reports the first offense.
+    unparsable cell or a non-finite value is reported at its first offense.
     """
     with open(path, "r") as fh:
         lines = fh.read().splitlines()
     start = 1 if header else 0
-    numbered = [(i, line)
-                for i, line in enumerate(lines[start:], start=start + 1)
-                if line.strip()]
-    if not numbered:
-        raise CsvFormatError(path, 1, 1, "empty file")
-    try:
-        # row by row, only one row's field strings are alive at a time
-        M = np.array([np.array(line.split(","), dtype=float)
-                      for _, line in numbered])
-        if np.isfinite(M).all():
-            return M
-    except ValueError:
-        pass
-    return _scan(path, numbered)
-
-
-def _scan(path, numbered):
-    """Convert (line number, line) rows one cell at a time, raising
-    CsvFormatError at the first ragged row or bad cell."""
-    rows = []
-    width = None
-    for i, line in numbered:
+    rows, width = [], None
+    for i, line in enumerate(lines[start:], start=start + 1):
+        if not line.strip():
+            continue
         fields = line.split(",")
         if width is None:
             width = len(fields)
         elif len(fields) != width:
             raise CsvFormatError(path, i, len(fields) + 1,
                                  f"expected {width} fields, got {len(fields)}")
-        row = []
-        for j, f in enumerate(fields, start=1):
-            try:
-                v = float(f)
-            except ValueError:
-                raise CsvFormatError(path, i, j, f"not a number: {f.strip()!r}")
-            if not np.isfinite(v):
-                raise CsvFormatError(path, i, j, f"non-finite value {f.strip()!r}")
-            row.append(v)
+        try:
+            row = np.array(fields, dtype=float)
+        except ValueError:
+            row = None
+        if row is None or not np.isfinite(row).all():
+            # name the first bad cell of this row
+            for j, f in enumerate(fields, start=1):
+                try:
+                    v = float(f)
+                except ValueError:
+                    raise CsvFormatError(path, i, j, f"not a number: {f.strip()!r}")
+                if not np.isfinite(v):
+                    raise CsvFormatError(path, i, j, f"non-finite value {f.strip()!r}")
         rows.append(row)
-    return np.array(rows, dtype=float)
+    if not rows:
+        raise CsvFormatError(path, 1, 1, "empty file")
+    return np.array(rows)
 
 
 def read_vector(path, header=False):

@@ -51,6 +51,8 @@ _DEGEN_EPS = 1e-11
 _MAX_COND = 1e12
 _PRICE_TOP = 32
 _REFACTOR_EVERY = 64
+# Bland's rule picks the pivots after a run of _BLAND_AFTER + 2m degenerate ones
+_BLAND_AFTER = 50
 # largest relative gap between the pivot element from the entering column
 # and from the pivot row that an in-place update accepts
 _UPDATE_TOL = 1e-9
@@ -387,7 +389,7 @@ class _DualSimplex:
         # boxed: both bounds finite and apart; fixed variables never enter
         boxed = np.isfinite(span) & (span > 0.0)
         any_boxed = bool(boxed.any())
-        bland_after = 50 + 2 * self.m
+        bland_after = _BLAND_AFTER + 2 * self.m
         degenerate_run = 0
         updated = None          # updates since the last factor; None: refactor
         while True:

@@ -527,6 +527,29 @@ class TestSimulate:
         assert r.output.startswith("| estimator |")
 
 
+@pytest.mark.parametrize("args, message", [
+    (["estimate", "--design", "Z.csv", "--response", "y11.csv",
+      "--mode", "dantzig", "--tau", "0.05"], "Z has 10 rows but y has 11"),
+    (["sensitivity", "--gram", "wide.csv", "--s", "1", "--q", "inf"],
+     "psi: must be square, got (2, 3)"),
+    (["sensitivity", "--gram", "asym.csv", "--s", "1", "--q", "inf"],
+     "psi: not symmetric within rtol 1e-12"),
+    (["estimate", "--design", "Zcap.csv", "--response", "y2.csv",
+      "--mode", "dantzig", "--tau", "0.05"],
+     "Z: 2001 columns exceed cap 2000"),
+], ids=["response-rows", "gram-not-square", "gram-asymmetric", "dim-cap"])
+def test_bad_input_shape_is_usage_error(runner, data_dir, args, message):
+    write_vector(data_dir / "y11.csv", np.ones(11))
+    write_matrix(data_dir / "wide.csv", np.ones((2, 3)))
+    write_matrix(data_dir / "asym.csv", np.array([[1.0, 0.5], [0.4, 1.0]]))
+    write_matrix(data_dir / "Zcap.csv", np.ones((2, 2001)))
+    write_vector(data_dir / "y2.csv", np.ones(2))
+    args = [str(data_dir / a) if a.endswith(".csv") else a for a in args]
+    r = runner.invoke(cli, args)
+    assert r.exit_code == 64, r.output
+    assert message in r.output
+
+
 class TestSensitivity:
     def test_identity_exact(self, runner, data_dir):
         r = runner.invoke(cli, ["sensitivity", "--gram",

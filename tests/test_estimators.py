@@ -83,11 +83,12 @@ def free_instance(seed, compensated):
     return rescale(Z_tilde, 0.1), y, sigma_hat(Z_tilde, 0.1)
 
 
-def paired_free_instance():
+def paired_free_instance(seed=50_035, p=None):
     """(Z, y, free-domain config) whose sign-split LP optimum is paired:
-    row and column 0 of G are zero."""
-    rng = np.random.default_rng(50_035)
-    p = int(rng.integers(1, 5))
+    row and column 0 of G are zero.  p is drawn from [1, 5) unless given."""
+    rng = np.random.default_rng(seed)
+    if p is None:
+        p = int(rng.integers(1, 5))
     M = rng.standard_normal((p, p))
     G = (M + M.T) / 2.0
     G[0, :] = 0.0
@@ -552,11 +553,16 @@ class TestFreeDomain:
                              compensation=np.zeros(p))
         assert feasibility_check(est.theta, Z, y, chk)[1]
 
-    def test_paired_optimum_falls_back_to_orthants(self):
+    @pytest.mark.parametrize("seed, p", [(50_035, None), (50_009, 7),
+                                         (50_009, 9)],
+                             ids=["drawn-p", "p7", "p9"])
+    def test_paired_optimum_branches_on_its_sign(self, seed, p):
         """Row and column 0 of G are zero, so theta_0 only buys slack: the
         sign-split LP pairs theta_0+ with theta_0-, and no theta attains
-        its value.  The 2^p orthant LPs give the optimum instead."""
-        Z, y, cfg = paired_free_instance()
+        its value.  Branching on the sign of theta_0 gives the optimum in
+        3 LPs: the split LP and one copy per sign, each pair-free, at p = 7
+        and 9 as at the drawn p."""
+        Z, y, cfg = paired_free_instance(seed, p)
         est = solve_compensated_mu(Z, y, cfg)
         assert est.status is LpStatus.OPTIMAL
         residual, feasible = feasibility_check(est.theta, Z, y, cfg)
@@ -564,4 +570,18 @@ class TestFreeDomain:
         G, c = selector_gram(Z, y, cfg.compensation)
         oracle = orthant_min_l1(G, c, cfg.mu, cfg.tau)
         assert abs(est.l1_norm - oracle) <= 1e-9 * max(1.0, oracle)
-        assert est.fp_rounds == 1 + 2 ** G.shape[0]
+        assert est.fp_rounds == 3
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: SelectorConfig(mu=0.1, tau=0.1, domain="box"),
+     "domain must be 'nonneg' or 'free', got 'box'"),
+    (lambda: solve_missing_data_cmu(np.eye(3), np.ones(3), pi=0.1,
+                                    config=SelectorConfig(mu=0.1, tau=0.1),
+                                    path="masked"),
+     "path must be 'rescale' or 'direct', got 'masked'"),
+], ids=["domain", "path"])
+def test_bad_choice_rejected(call, message):
+    with pytest.raises(ValueError) as e:
+        call()
+    assert str(e.value) == message

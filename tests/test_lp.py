@@ -136,6 +136,30 @@ def test_nan_rejected():
         LinearProgram(c=[1.0], lower=[np.nan])
 
 
+@pytest.mark.parametrize("kw, message", [
+    ({"A_ub": [[1.0, 1.0, 1.0]], "b_ub": [1.0]},
+     "A_ub: shape mismatch (A (1, 3), b (1,), n=2)"),
+    ({"A_eq": [[1.0, 1.0]], "b_eq": [1.0, 2.0]},
+     "A_eq: shape mismatch (A (1, 2), b (2,), n=2)"),
+    ({"lower": [0.0, np.inf]}, "bounds: lower=+inf / upper=-inf rejected"),
+    ({"upper": [-np.inf, 1.0]}, "bounds: lower=+inf / upper=-inf rejected"),
+    ({"lower": [0.0, 2.0], "upper": [1.0, 1.0]},
+     "variable 1: lower bound exceeds upper bound"),
+    (None, "solve_lp expects a LinearProgram"),
+], ids=["ub-shape", "eq-shape", "lower-inf", "upper-inf", "crossed",
+        "not-an-lp"])
+def test_malformed_lp_rejected(kw, message):
+    """A LinearProgram that is not one raises at construction; solve_lp
+    given anything else raises TypeError."""
+    if kw is None:
+        with pytest.raises(TypeError) as e:
+            solve_lp({"c": [1.0, 1.0]})
+    else:
+        with pytest.raises(ValueError) as e:
+            LinearProgram(c=[1.0, 1.0], **kw)
+    assert str(e.value) == message
+
+
 @pytest.mark.parametrize("c, lower, j", [
     ([1.0, -0.5, -2.0], [0.0, 0.0, 0.0], 1),
     ([1.0, 0.0, 2.0], [0.0, 0.0, -np.inf], 2),
@@ -170,8 +194,9 @@ def test_iteration_limit_status():
     assert sol.iterations <= 2
 
 
-@pytest.mark.parametrize("seed", range(50))
-def test_random_small_lps_match_vertex_enumeration(seed):
+def small_lp_against_vertex_oracle(seed):
+    """Solve seed's small boxed LP in contract form, check its verdict and
+    optimum against vertex_enum_oracle, and return the solution."""
     rng = np.random.default_rng(1000 + seed)
     n = int(rng.integers(2, 6))
     m_ub = int(rng.integers(1, 9 - n))
@@ -194,6 +219,25 @@ def test_random_small_lps_match_vertex_enumeration(seed):
         assert sol.objective_value + offset == pytest.approx(best, abs=1e-7)
         assert check_solution(lp2, sol) <= 1e-9
         assert check_solution(lp, replace(sol, x=back(sol.x))) <= 1e-9
+    return sol
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_random_small_lps_match_vertex_enumeration(seed):
+    small_lp_against_vertex_oracle(seed)
+
+
+@pytest.fixture
+def bland_everywhere(monkeypatch):
+    """Bland's rule picks every pivot: the degenerate run it waits for is
+    -inf long."""
+    monkeypatch.setattr(lp_module, "_BLAND_AFTER", -np.inf)
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_bland_on_every_pivot_matches_vertex_enumeration(seed, bland_everywhere):
+    sol = small_lp_against_vertex_oracle(seed)
+    assert sol.diagnostics["bland"] == sol.iterations
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -228,16 +272,20 @@ def test_determinism_bitwise():
     assert s1.iterations == s2.iterations
 
 
-def test_degenerate_lp_terminates():
+def _degenerate_lp():
     # min t with t >= every row of A x over x in [0, 1]^n and x_0 = 1: only t
     # has a cost, so the reduced costs of the x_j are often zero and dual
     # steps of length zero follow
     n = 4
     rng = np.random.default_rng(0)
     A = np.hstack([rng.standard_normal((8, n)), -np.ones((8, 1))])
-    lp = LinearProgram(c=np.r_[np.zeros(n), 1.0], A_ub=A, b_ub=np.zeros(8),
-                       lower=np.r_[1.0, np.zeros(n)],
-                       upper=np.r_[np.ones(n), np.inf])
+    return LinearProgram(c=np.r_[np.zeros(n), 1.0], A_ub=A, b_ub=np.zeros(8),
+                         lower=np.r_[1.0, np.zeros(n)],
+                         upper=np.r_[np.ones(n), np.inf])
+
+
+def test_degenerate_lp_terminates():
+    lp = _degenerate_lp()
     sol = solve_lp(lp)
     assert sol.status is LpStatus.OPTIMAL
     assert sol.diagnostics["degenerate"] > 0
@@ -266,6 +314,18 @@ def test_rank_deficient_lp_matches_vertex_oracle():
     sol = solve_lp(lp)
     assert status == "optimal"
     assert sol.status is LpStatus.OPTIMAL
+    assert sol.objective_value == pytest.approx(best, abs=1e-9)
+    assert check_solution(lp, sol) <= 1e-9
+
+
+@pytest.mark.parametrize("make", [_degenerate_lp, _rank_deficient_lp])
+def test_bland_on_every_pivot_degenerate_lps(make, bland_everywhere):
+    lp = make()
+    status, best = vertex_enum_oracle(lp)
+    sol = solve_lp(lp)
+    assert status == "optimal"
+    assert sol.status is LpStatus.OPTIMAL
+    assert sol.diagnostics["bland"] == sol.iterations > 0
     assert sol.objective_value == pytest.approx(best, abs=1e-9)
     assert check_solution(lp, sol) <= 1e-9
 

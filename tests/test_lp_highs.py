@@ -18,7 +18,7 @@ pytest.importorskip("scipy")
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
-from musel import estimators, sensitivity
+from musel import estimators, lp as lp_module, sensitivity
 from musel.estimators import SelectorConfig, solve_missing_data_cmu
 from musel.lp import (DEFAULT_FEAS_TOL, LinearProgram, LpStatus,
                       check_solution, solve_lp)
@@ -95,12 +95,12 @@ def test_free_domain_split_lps(recorded):
         assert_agrees(lp, sol)
 
 
-def test_free_domain_orthant_lps(recorded):
-    """The split LP of a paired instance and its 2^p orthant fallback."""
+def test_free_domain_branch_lps(recorded):
+    """The split LP of a paired instance and its two sign branches."""
     pairs = recorded(estimators)
     Z, y, cfg = paired_free_instance()
     estimators.solve_compensated_mu(Z, y, cfg)
-    assert len(pairs) == 1 + 2 ** Z.shape[1]
+    assert len(pairs) == 3
     for lp, sol in pairs:
         assert_agrees(lp, sol)
 
@@ -132,8 +132,7 @@ def solve_in_contract(lp):
                         objective_value=sol.objective_value + offset)
 
 
-@pytest.mark.parametrize("seed", range(40))
-def test_generic_lps_with_free_and_one_sided_bounds(seed):
+def generic_lp(seed):
     """Feasible by construction, with boxed, one-sided and free variables and
     costs of either sign where the box bounds them."""
     rng = np.random.default_rng(7000 + seed)
@@ -146,13 +145,28 @@ def test_generic_lps_with_free_and_one_sided_bounds(seed):
     x0 = rng.uniform(-1.0, 2.0, n)
     A_ub = rng.standard_normal((m_ub, n)).round(3)
     A_eq = rng.standard_normal((m_eq, n)).round(3)
-    lp = LinearProgram(c=bounded_costs(rng.standard_normal(n).round(3),
-                                       lower, upper),
-                       A_ub=A_ub, b_ub=A_ub @ x0 + rng.random(m_ub),
-                       A_eq=A_eq if m_eq else None,
-                       b_eq=A_eq @ x0 if m_eq else None,
-                       lower=lower, upper=upper)
+    return LinearProgram(c=bounded_costs(rng.standard_normal(n).round(3),
+                                         lower, upper),
+                         A_ub=A_ub, b_ub=A_ub @ x0 + rng.random(m_ub),
+                         A_eq=A_eq if m_eq else None,
+                         b_eq=A_eq @ x0 if m_eq else None,
+                         lower=lower, upper=upper)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_generic_lps_with_free_and_one_sided_bounds(seed):
+    lp = generic_lp(seed)
     assert_agrees(lp, solve_in_contract(lp)[1])
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_bland_on_every_pivot_agrees(seed, monkeypatch):
+    """Bland's fallback, forced on every pivot, against HiGHS."""
+    monkeypatch.setattr(lp_module, "_BLAND_AFTER", -np.inf)
+    lp = generic_lp(seed)
+    sol2, sol = solve_in_contract(lp)
+    assert sol2.diagnostics["bland"] == sol2.iterations
+    assert_agrees(lp, sol)
 
 
 @st.composite

@@ -78,6 +78,13 @@ class TestEstimatePi:
         assert per[0] == 0.0
         assert abs(per[2] - 0.5) < 0.15
 
+    @pytest.mark.parametrize("mode", ["column", "Pooled"])
+    def test_bad_mode_rejected(self, mode):
+        with pytest.raises(ValueError) as e:
+            estimate_pi(np.eye(3), mode=mode)
+        assert str(e.value) == ("mode must be 'pooled' or 'per-column', "
+                                f"got {mode!r}")
+
 
 class TestSigmaHat:
     def test_pi_zero(self, rng):

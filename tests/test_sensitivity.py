@@ -370,6 +370,12 @@ class TestKappaStar:
         # certificate should be the (1, -1) direction
         assert r.certificate[0] == pytest.approx(1.0, abs=1e-7)
 
+    @pytest.mark.parametrize("k", [-1, 3])
+    def test_coordinate_outside_range_rejected(self, k):
+        with pytest.raises(ValueError) as e:
+            kappa_star(np.eye(3), 1, k)
+        assert str(e.value) == f"coordinate k must be in [0, 3), got {k}"
+
     @pytest.mark.parametrize("seed", range(4))
     def test_dominates_kappa_inf(self, seed):
         psi = normalized_gram(5, 50, 200 + seed)

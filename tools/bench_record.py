@@ -14,7 +14,10 @@ last line of its output).  Then it times one
 ``python -m musel.cli estimate`` requests (missing mode, known pi) on one
 seeded, 10%-masked 100x500 CSV design, and 15 bare
 ``python -c "import musel"`` starts, each as the median wall time and the
-mean CPU time (``RUSAGE_CHILDREN``, user + system) per start.  It times
+mean CPU time (``RUSAGE_CHILDREN``, user + system) per start.  Beside the
+estimate's times it records the request's pivots (``iterations`` in its
+JSON output), and the median of 15 ``musel.io.read_matrix`` calls on the
+same design CSV, timed in one interpreter.  It times
 ``kappa_inf_exact(psi, 1)`` and ``kappa_lower_bound(psi, 2)`` on the
 seeded, normalized 100x500 Gram of tests/conftest.py's
 ``normalized_gram(500, 100, 1)``, each in a fresh interpreter, as the
@@ -28,7 +31,7 @@ takes its wall and CPU time and its passed, skipped and failed counts.
 The file holds the git sha (and whether tracked files differed from it),
 the environment block of the first run, every run's metrics, the median
 and quartiles of each metric per workload, the simulate times, the cold
-starts, the sensitivities and the Tier-1 run.  The file records
+starts, the reads, the sensitivities and the Tier-1 run.  The file records
 numbers; it gates nothing.
 """
 
@@ -72,6 +75,19 @@ r = getattr(sensitivity, sys.argv[1])(X.T @ X / 100, int(sys.argv[2]))
 print(json.dumps({"value": r.value, "lp_count": r.lp_count,
                   "pivots": sum(pivots), "call_wall_s": r.wall_time}))
 """
+
+# READS calls of musel.io.read_matrix on one CSV, timed in this interpreter
+READ_CODE = """
+import json, statistics, sys, time
+from musel.io import read_matrix
+times = []
+for _ in range(int(sys.argv[2])):
+    t0 = time.perf_counter()
+    read_matrix(sys.argv[1])
+    times.append(time.perf_counter() - t0)
+print(json.dumps({"median_s": statistics.median(times)}))
+"""
+READS = 15
 
 
 def perfbench(workload, seed):
@@ -131,7 +147,8 @@ def cold_starts(command, args):
 
 
 def cold_estimate():
-    """Cold starts of ``musel estimate`` on a seeded, masked 100x500 design."""
+    """Cold starts of ``musel estimate`` on a seeded, masked 100x500 design,
+    with the request's pivots, and the in-process reads of that design CSV."""
     rng = np.random.default_rng(1812)
     X = rng.standard_normal((100, 500))
     X -= X.mean(axis=0)
@@ -144,13 +161,22 @@ def cold_estimate():
         zp, yp = os.path.join(tmp, "Z.csv"), os.path.join(tmp, "y.csv")
         np.savetxt(zp, Z, fmt="%.17g", delimiter=",")
         np.savetxt(yp, y.reshape(-1, 1), fmt="%.17g", delimiter=",")
+        out = os.path.join(tmp, "theta.json")
         request = ["estimate", "--design", zp, "--response", yp,
                    "--mode", "missing", "--pi", "0.1", "--mu", "0.11",
-                   "--tau", "0.02", "--out", os.path.join(tmp, "theta.json")]
-        return cold_starts("musel estimate --design Z.csv --response y.csv "
+                   "--tau", "0.02", "--out", out]
+        cold = cold_starts("musel estimate --design Z.csv --response y.csv "
                            "--mode missing --pi 0.1 --mu 0.11 --tau 0.02 "
                            "(seeded 10%-masked 100x500 design)",
                            ["-m", "musel.cli", *request])
+        with open(out) as fh:
+            cold["iterations"] = json.load(fh)["iterations"]
+        read = subprocess.run([sys.executable, "-c", READ_CODE, zp, str(READS)],
+                              env=src_env(), check=True, capture_output=True,
+                              text=True).stdout
+    read = {"call": "musel.io.read_matrix(Z.csv) (the estimate's design)",
+            "reads": READS, **json.loads(read)}
+    return cold, read
 
 
 def sensitivity_times(name, s):
@@ -214,13 +240,16 @@ def main():
     for preset, t in simulate.items():
         print(f"{preset}: {t['wall_s']:.1f} s wall, {t['cpu_s']:.1f} s CPU",
               file=sys.stderr)
-    cold = {"estimate": cold_estimate(),
+    estimate, read = cold_estimate()
+    cold = {"estimate": estimate,
             "import": cold_starts('python -c "import musel"',
                                   ["-c", "import musel"])}
     for name, t in cold.items():
         print(f"cold {name}: {1e3 * t['wall_s']['median']:.0f} ms wall "
               f"(median), {1e3 * t['cpu_s_mean']:.0f} ms CPU (mean)",
               file=sys.stderr)
+    print(f"estimate pivots: {estimate['iterations']}; read_matrix: "
+          f"{1e3 * read['median_s']:.1f} ms (median)", file=sys.stderr)
     sens = {f"{name}_s{s}": sensitivity_times(name, s)
             for name, s in SENSITIVITIES}
     for key, t in sens.items():
@@ -241,6 +270,7 @@ def main():
                       "workloads": workloads},
         "simulate": simulate,
         "cold_start": cold,
+        "read_matrix": read,
         "sensitivity": sens,
         "tier1": suite,
     }
