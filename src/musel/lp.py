@@ -474,7 +474,7 @@ class _DualSimplex:
             slack_d = -d[J] * np.sign(a[J])
             ratio = slack_d / abs_a
             if bland:
-                pos = int(np.argmax(ratio <= ratio.min()))
+                within = np.argmax(ratio <= ratio.min(), keepdims=True)
             elif any_boxed and boxed[J].any():
                 # bound flipping: the step may pass the breakpoints of
                 # boxed variables (they change bound below) while x_r
@@ -486,12 +486,13 @@ class _DualSimplex:
                 # Harris: the largest pivot among steps within the relaxed bound
                 bound = np.min((slack_d[rest] + 0.5 * DEFAULT_OPT_TOL) / abs_a[rest])
                 within = np.sort(rest[ratio[rest] <= bound])
-                pos = int(within[np.argmax(abs_a[within])])
             else:
                 # Harris over every eligible variable
                 bound = np.min((slack_d + 0.5 * DEFAULT_OPT_TOL) / abs_a)
                 within = (ratio <= bound).nonzero()[0]
-                pos = int(within[np.argmax(abs_a[within])])
+            # pivots within 1e-12 (relative) of the largest tie: lowest index
+            big = abs_a[within]
+            pos = int(within[np.argmax(big >= (1.0 - 1e-12) * big.max())])
             q = int(J[pos])
             self.iters += 1
             self.bland += bland

@@ -8,14 +8,14 @@ at |J| = s, so only size-s supports are enumerated.
 Every LP here has one variable layout, z = (a, b, t) over all p
 coordinates with delta = a - b, and the rows of ``_epigraph`` making t the
 epigraph of |Psi delta|_inf; a cone row (per support) or an l1 row (the
-anchor relaxations) is stacked on them, and signs, anchors and orthants
+anchor relaxations) is stacked on them, and signs, anchors and branches
 are bounds on a and b.  Exact values come from enumerating (support, sign
 pattern) pairs and solving a few small LPs per pair.  The delta -> -delta
 symmetry and the fact that a cone vector lies in the cone of its own s
 largest entries leave s*2^(s-1) anchor LPs per support for kappa_inf, and a
 relaxation LP per anchor bounds them all, so only the anchors whose bound
-can still win are enumerated; kappa_one is exact when its best LP optimum
-is a genuine unit-l1 vector, which it certifies.
+can still win are enumerated; kappa_one branches on the sign of an index
+its optimum pairs, and certifies its least pair-free optimum.
 A budget caps the LPs a call solves; past it the result is a lower bound
 from kappa_inf_exact's anchor walk, stopped early (kappa_lower_bound is the
 walk with no visits).
@@ -32,10 +32,7 @@ from .core import check_gram
 from .lp import LinearProgram, LpStatus, solve_lp
 
 DEFAULT_BUDGET_CAP = 100_000
-# kappa_one enumerates the sign orthants of J^c up to this p, so its result
-# is always exact there; kappa_star enumerates exactly up to STAR_EXACT_P_MAX.
-ORTHANT_P_MAX = 4
-STAR_EXACT_P_MAX = 6
+STAR_EXACT_P_MAX = 6  # kappa_star enumerates exactly up to this p
 
 KIND_EXACT = "exact"
 KIND_LOWER_BOUND = "lower_bound"
@@ -156,7 +153,7 @@ def _anchor_lps(k):
     return programs
 
 
-def _enumerate_cones(psi, s, programs, box=1.0, supports=None):
+def _enumerate_cones(psi, s, programs, box=1.0, supports=None, branches=None):
     """Minimize over the cone LPs of size-s supports J and sign patterns.
 
     The rows of support J are ``_epigraph(psi)`` and the cone row
@@ -169,20 +166,25 @@ def _enumerate_cones(psi, s, programs, box=1.0, supports=None):
     a and b and inf on t, with the sign holds: b_j at 0 where sigma_j = +1,
     a_j at 0 where sigma_j = -1; a program that changes it copies it first.
     Returns (value, certificate a - b, J, sigma, lp_count) for the first
-    strictly smallest value.
+    strictly smallest value, in depth-first order within each LP.
 
-    Every LP of the three callers is feasible and bounded: delta = e_j for
-    an anchor j in J (or any j in J when there is none), plus e_k when the
-    anchor k lies outside J, meets the cone row, the bounds and the unit
-    mass, with t large; and t >= |Psi delta|_inf >= 0 bounds the objective.
-    So an LP that is not OPTIMAL raises SensitivityLpError, never skipped.
+    With ``branches`` (kappa_one's unit-mass LPs), an optimum with
+    |delta|_1 < 1 - 1e-9 pairs: two copies of its LP replace it, b_j held
+    at 0 (solved first) and a_j, for the first j with the largest
+    min(a_j, b_j), in J^c by the sign holds.  A copy whose parent's value,
+    or its own, is not below the best is dropped.  Past ``branches`` solved
+    copies, an unsolved one counts as its parent's value, uncertified.
+
+    Every LP is feasible and bounded: delta = e_j for an anchor j in J (or
+    sigma_j e_j, j in J, without one), plus e_k for an anchor k outside J,
+    meets the cone row, the bounds (copies hold parts of J^c) and the unit
+    mass, with t large; and t >= |Psi delta|_inf >= 0.  So an LP that is
+    not OPTIMAL raises SensitivityLpError, never skipped.
     """
     p = psi.shape[0]
     epigraph = _epigraph(psi)
     b = np.zeros(2 * p + 1)
-    best = np.inf
-    best_cert = best_J = best_sigma = None
-    lp_count = 0
+    best, found, lp_count = np.inf, (None, None, None), 0
     for J in combinations(range(p), s) if supports is None else supports:
         cone = np.ones(2 * p + 1)
         cone[list(J)] = cone[[p + j for j in J]] = -1.0
@@ -194,13 +196,30 @@ def _enumerate_cones(psi, s, programs, box=1.0, supports=None):
             upper[-1] = np.inf
             upper[[j if sg < 0 else p + j for j, sg in zip(J, sigma)]] = 0.0
             for anchor, rows in programs(J, sigma, upper):
-                sol = _min_t(A, b, (J, sigma, anchor), **rows)
-                lp_count += 1
-                if sol.objective_value < best:
-                    best = sol.objective_value
-                    best_cert = sol.x[:p] - sol.x[p:2 * p]
-                    best_J, best_sigma = J, sigma
-    return float(best), best_cert, best_J, best_sigma, lp_count
+                nodes = [(-np.inf, rows)]  # copies carry the parent's value
+                while nodes:
+                    value, rows = nodes.pop()
+                    if -np.inf < value < best and not branches:
+                        best, found = value, (None, None, None)
+                    if value >= best:
+                        continue
+                    if value > -np.inf:
+                        branches -= 1
+                    sol = _min_t(A, b, (J, sigma, anchor), **rows)
+                    lp_count += 1
+                    value = sol.objective_value
+                    a, z = sol.x[:p], sol.x[p:2 * p]
+                    if value >= best:
+                        continue
+                    if branches is None or np.sum(np.abs(a - z)) >= 1 - 1e-9:
+                        best, found = value, (a - z, J, sigma)
+                        continue
+                    j = int(np.argmax(np.minimum(a, z)))
+                    for held in (j, p + j):  # pushed last, b_j held runs first
+                        copy = rows["upper"].copy()
+                        copy[held] = 0.0
+                        nodes.append((value, rows | {"upper": copy}))
+    return (float(best), *found, lp_count)
 
 
 def kappa_inf_exact(psi, s, budget_cap=DEFAULT_BUDGET_CAP):
@@ -271,42 +290,32 @@ _walk = kappa_inf_exact
 def kappa_one(psi, s, budget_cap=DEFAULT_BUDGET_CAP):
     """l1 sensitivity via the mass-split LP, one per (support, sign pattern).
 
-    With unit mass 1'(a + b) = 1, every unit-l1 cone vector is feasible, so
-    the least LP value is a lower bound.  If its optimum has |delta|_1 = 1
-    (within 1e-9), no index has both a_j and b_j positive, and delta is a
-    unit cone vector attaining the bound: the result is exact, with delta
-    as certificate.  Otherwise it is a lower bound without one.  For
-    p <= ORTHANT_P_MAX each (J, sigma) is split further into the 2^(p-s)
-    sign orthants of J^c (a_j or b_j held at 0), whose optima are all
-    pair-free, so the result there is always exact.  Swapping a and b maps
-    the LPs of -sigma (and the negated orthants) onto those of sigma with
-    the same values, so only the sign patterns with sigma_1 = +1 are
-    solved: C(p, s)*2^(s-1) LPs, or C(p, s)*2^(p-1) with orthants; past
-    budget_cap, the l1 reduction of kappa_inf_exact(psi, s, budget_cap).
+    With unit mass 1'(a + b) = 1, every unit-l1 cone vector is feasible.
+    An optimum with |delta|_1 = 1 is one; one that pairs a_j with b_j
+    branches on the sign of delta_j (``_enumerate_cones``).  The least
+    pair-free optimum is exact, with delta as certificate.  Swapping a and
+    b maps the LPs of -sigma onto those of sigma, so the roots are those
+    with sigma_1 = +1: C(p, s)*2^(s-1) LPs, or past budget_cap the l1
+    reduction of kappa_inf_exact(psi, s, budget_cap).  Branches spend the
+    rest of budget_cap; cut short, the result is a lower bound without
+    certificate, at least the least root value.
     """
     psi = check_gram(psi)
     p = psi.shape[0]
     _check_s(p, s)
-    orthants = p <= ORTHANT_P_MAX
-    if math.comb(p, s) * 2 ** ((p if orthants else s) - 1) > budget_cap:
+    roots = math.comb(p, s) * 2 ** (s - 1)
+    if roots > budget_cap:
         return _from_inf(kappa_inf_exact(psi, s, budget_cap), s, 1.0)
     mass = np.concatenate([np.ones(2 * p), [0.0]])[None, :]
 
     def unit_mass(J, sigma, upper):
-        if sigma[0] < 0:
-            return
-        Jc = [j for j in range(p) if j not in J]
-        # an orthant holds b_j (delta_j >= 0) or a_j at 0 for each j in J^c
-        for held in product((p, 0), repeat=len(Jc)) if orthants else [()]:
-            upper_o = upper.copy()
-            upper_o[[off + j for off, j in zip(held, Jc)]] = 0.0
-            yield None, {"A_eq": mass, "b_eq": [1.0], "upper": upper_o}
+        if sigma[0] > 0:
+            yield None, {"A_eq": mass, "b_eq": [1.0], "upper": upper}
 
     t0 = time.perf_counter()
-    best, cert, cert_J, _, lp_count = _enumerate_cones(psi, s, unit_mass)
-    kind = KIND_EXACT
-    if cert is None or abs(np.sum(np.abs(cert)) - 1.0) > 1e-9:
-        kind, cert, cert_J = KIND_LOWER_BOUND, None, None
+    best, cert, cert_J, _, lp_count = _enumerate_cones(
+        psi, s, unit_mass, branches=budget_cap - roots)
+    kind = KIND_EXACT if cert is not None else KIND_LOWER_BOUND
     return SensitivityResult(value=best, kind=kind, s=s, q=1.0,
                              certificate=cert, certificate_J=cert_J,
                              lp_count=lp_count,

@@ -106,18 +106,18 @@ def test_free_domain_branch_lps(recorded):
 
 
 # relaxations: how many of the LPs are anchor relaxations, those whose first
-# row is the l1 row 1'(a + b) <= 2s; the three Grams have p = 5, 5, 4
+# row is the l1 row 1'(a + b) <= 2s; the three Grams have p = 5
 @pytest.mark.parametrize("kappa, relaxations", [
-    (lambda psi: sensitivity.kappa_inf_exact(psi, 2), 14),
+    (lambda psi: sensitivity.kappa_inf_exact(psi, 2), 15),
     (lambda psi: sensitivity.kappa_one(psi, 2), 0),
-    (lambda psi: sensitivity.kappa_lower_bound(psi, 2), 14),
+    (lambda psi: sensitivity.kappa_lower_bound(psi, 2), 15),
     (lambda psi: sensitivity.kappa_star(psi, 2, 1), 0),
 ], ids=["kappa_inf_exact", "kappa_one", "kappa_lower_bound", "kappa_star"])
 def test_cone_lps(recorded, kappa, relaxations):
     pairs = recorded(sensitivity)
     kappa(normalized_gram(5, 30, 7))
     kappa(normalized_gram(5, 4, 8))          # rank-deficient Gram
-    kappa(normalized_gram(4, 30, 3))         # kappa_one's sign orthants
+    kappa(normalized_gram(5, 30, 0))         # kappa_one branches
     assert pairs
     assert sum(np.all(lp.A_ub[0, :-1] == 1.0) for lp, _ in pairs) == relaxations
     for lp, sol in pairs:

@@ -10,6 +10,7 @@ import pytest
 from musel import sensitivity
 from musel.core import gram, coherence
 from musel.lp import LinearProgram, LpStatus, solve_lp
+from musel.missing import apply_mask, rescale, sigma_hat
 from musel.sensitivity import (_enumerate_cones, _from_inf, c_q, in_cone,
                                kappa_inf_exact, kappa_lower_bound, kappa_one,
                                kappa_q_from_inf, kappa_star, theorem1_bounds,
@@ -112,6 +113,15 @@ def kappa_lower_bound_two_signs(psi, s):
             if sol.status is LpStatus.OPTIMAL:
                 best = min(best, sol.objective_value)
     return best
+
+
+def masked_gram(p, seed, pi=0.2):
+    """The plug-in Gram gram(rescale(Z~, pi), sigma_hat(Z~, pi)) of a 30 x p
+    Gaussian design masked with probability pi; it is indefinite in general,
+    as under the missing-data model."""
+    Z = apply_mask(np.random.default_rng(seed).standard_normal((30, p)), pi,
+                   seed)
+    return gram(rescale(Z, pi), sigma_hat(Z, pi))
 
 
 def kappa_one_orthants(psi, s):
@@ -252,8 +262,7 @@ class TestKappaInf:
 
     # (routine, Gram seed, s, scale the certificate is normalized to): all
     # three share one certificate code path, so each must return a vector
-    # that attains its value.  kappa_one carries a certificate only when its
-    # best optimum is pair-free, which at p <= 4 (sign orthants) it always is.
+    # that attains its value.  kappa_one's is its least pair-free optimum.
     @pytest.mark.parametrize("kappa, seed, s, scale", [
         (kappa_inf_exact, 3, 2, lambda d: np.max(np.abs(d))),
         (kappa_one, 8, 1, lambda d: np.sum(np.abs(d))),
@@ -274,7 +283,7 @@ class TestKappaOne:
     def test_identity_s1(self):
         r = kappa_one(np.eye(4), 1)
         assert r.value == pytest.approx(0.5, abs=1e-9)
-        assert r.kind == "exact"          # p <= 4: sign orthants, pair-free
+        assert r.kind == "exact"          # the least root optimum is pair-free
 
     def test_identity_s2(self):
         r = kappa_one(np.eye(4), 2)
@@ -289,41 +298,98 @@ class TestKappaOne:
         kre = re_constant_bruteforce(psi, s, grid_resolution=30)
         assert k1.value >= kre / (4 * s) - 1e-7
 
-    # seed 0 at p=5, s=2 has a paired optimum (a lower bound), seed 3 not
+    @staticmethod
+    def assert_exact(psi, s):
+        """kappa_one(psi, s) is exact, equals the orthant oracle and carries
+        a unit-l1 cone vector attaining its value; returns it."""
+        r = kappa_one(psi, s)
+        oracle = kappa_one_orthants(psi, s)
+        assert r.kind == "exact"
+        assert abs(r.value - oracle) <= 1e-9 * max(1.0, oracle)
+        assert in_cone(r.certificate, r.certificate_J, tol=1e-9)
+        assert np.sum(np.abs(r.certificate)) == pytest.approx(1.0, abs=1e-9)
+        attained = float(np.max(np.abs(psi @ r.certificate)))
+        assert attained == pytest.approx(r.value, abs=1e-9)
+        return r
+
+    # seed 0 at p=5, s=2 has a paired root optimum (branched), seed 3 not
     @pytest.mark.parametrize("seed", [0, 3])
     @pytest.mark.parametrize("p", [4, 5, 6])
     @pytest.mark.parametrize("s", [1, 2])
     def test_matches_orthant_oracle(self, p, s, seed):
-        psi = normalized_gram(p, 30, seed)
-        r = kappa_one(psi, s)
-        oracle = kappa_one_orthants(psi, s)
-        if r.kind == "exact":
-            assert abs(r.value - oracle) <= 1e-9 * max(1.0, oracle)
-            assert in_cone(r.certificate, r.certificate_J, tol=1e-9)
-            assert np.sum(np.abs(r.certificate)) == pytest.approx(1.0, abs=1e-9)
-            attained = float(np.max(np.abs(psi @ r.certificate)))
-            assert attained == pytest.approx(r.value, abs=1e-9)
-        else:
-            assert r.kind == "lower_bound" and r.certificate is None
-            assert r.value <= oracle + 1e-9 * max(1.0, oracle)
-        if p <= 4:
-            assert r.kind == "exact"
+        self.assert_exact(normalized_gram(p, 30, seed), s)
+
+    # the masked plug-in Grams all pair at the root
+    @pytest.mark.parametrize("kind, p, s, seed", [
+        ("normalized", 8, 1, 3), ("normalized", 8, 2, 0),
+        ("masked", 5, 2, 0), ("masked", 6, 3, 0), ("masked", 7, 2, 0)])
+    def test_larger_and_masked_grams_match_orthant_oracle(self, kind, p, s,
+                                                          seed):
+        self.assert_exact(normalized_gram(p, 30, seed) if kind == "normalized"
+                          else masked_gram(p, seed), s)
+
+    @pytest.mark.parametrize("seed, value", [(0, 0.11437089655914355),
+                                             (1, 0.10535617331240385),
+                                             (2, 0.08943552662955447)])
+    def test_paired_roots_are_searched(self, seed, value):
+        """The root optima of these Grams pair, so the root LPs alone give
+        only a lower bound (0.1104, 0.1031 and 0.0843); the search is
+        exact."""
+        r = self.assert_exact(normalized_gram(5, 30, seed), 2)
+        assert r.value == pytest.approx(value, rel=1e-12)
+        assert r.lp_count > 20
 
     @pytest.mark.parametrize("p, s", [(4, 2), (6, 2)])
-    def test_lp_count_is_budget(self, p, s):
-        """Only the sign patterns with sigma_1 = +1 are solved: C(p, s) *
-        2^(s-1) LPs, or C(p, s) * 2^(p-1) with sign orthants (p <= 4)."""
+    def test_lp_count_is_budget(self, lp_stops, p, s):
+        """Only the sign patterns with sigma_1 = +1 are roots: C(p, s) *
+        2^(s-1) LPs, whose held parts are the sign holds alone; the rest
+        of lp_count are branches."""
+        solved = lp_stops(0)
         psi = normalized_gram(p, 30, 0)
         r = kappa_one(psi, s)
-        assert r.lp_count == math.comb(p, s) * 2 ** ((p if p <= 4 else s) - 1)
+        assert r.lp_count == len(solved)
+        roots = [lp for lp in solved if np.sum(lp.upper[:-1] == 0.0) == s]
+        assert len(roots) == math.comb(p, s) * 2 ** (s - 1)
+        for lp in roots:
+            J = np.flatnonzero(lp.A_ub[-1, :p] < 0)
+            assert lp.upper[p + J[0]] == 0.0             # sigma_1 = +1
         assert kappa_one(psi, s, budget_cap=r.lp_count).lp_count == r.lp_count
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_branches_spend_the_rest_of_the_budget(self, lp_stops, seed):
+        """Every root is solved and the branches spend budget_cap minus the
+        roots: a search cut short is a lower bound between the roots' value
+        and the exact one, and budget_cap=lp_count gives the same result."""
+        psi = normalized_gram(5, 30, seed)
+        roots = math.comb(5, 2) * 2
+        full = kappa_one(psi, 2)
+        root_only = kappa_one(psi, 2, budget_cap=roots)
+        assert root_only.lp_count == roots < full.lp_count
+        assert root_only.kind == "lower_bound" and root_only.certificate is None
+        assert root_only.value < full.value
+        solved = lp_stops(0)
+        for budget in range(roots, full.lp_count + 1):
+            solved.clear()
+            r = kappa_one(psi, 2, budget_cap=budget)
+            assert r.lp_count == len(solved) <= budget
+            if r.kind == "exact":
+                assert r.value == full.value
+            else:
+                assert r.certificate is None and r.certificate_J is None
+                # a copy's optimum can round below its parent's by an ulp
+                assert root_only.value * (1 - 1e-12) <= r.value < full.value
+            again = kappa_one(psi, 2, budget_cap=r.lp_count)
+            assert (again.to_dict() | {"wall_time": 0}) == (
+                r.to_dict() | {"wall_time": 0})
+        assert (r.to_dict() | {"wall_time": 0}) == (
+            full.to_dict() | {"wall_time": 0})
 
     @pytest.mark.parametrize("p, s", [(4, 2), (6, 2), (8, 3)])
     def test_below_plan_is_l1_reduction(self, p, s):
         """Below its plan, kappa_one is the l1 reduction of the budgeted
         kappa_inf walk."""
         psi = normalized_gram(p, 30, 50 + p)
-        plan = math.comb(p, s) * 2 ** ((p if p <= 4 else s) - 1)
+        plan = math.comb(p, s) * 2 ** (s - 1)
         full = kappa_one(psi, s).value
         for budget in (1, p + 1, plan - 1):
             r = kappa_one(psi, s, budget_cap=budget)
