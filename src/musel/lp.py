@@ -490,8 +490,7 @@ class _DualSimplex:
                 # Harris over every eligible variable
                 bound = np.min((slack_d + 0.5 * DEFAULT_OPT_TOL) / abs_a)
                 within = (ratio <= bound).nonzero()[0]
-            # pivots within 1e-12 (relative) of the largest tie: lowest index
-            big = abs_a[within]
+            big = abs_a[within]  # ties within 1e-12 (relative): lowest index
             pos = int(within[np.argmax(big >= (1.0 - 1e-12) * big.max())])
             q = int(J[pos])
             self.iters += 1

@@ -153,27 +153,26 @@ def _anchor_lps(k):
     return programs
 
 
-def _enumerate_cones(psi, s, programs, box=1.0, supports=None, branches=None):
+def _enumerate_cones(psi, s, programs, box=1.0, supports=None, branches=0):
     """Minimize over the cone LPs of size-s supports J and sign patterns.
 
     The rows of support J are ``_epigraph(psi)`` and the cone row
-    sum_{J^c}(a + b) - sum_J(a + b) <= 0.  J runs over ``supports``
-    (default: every size-s support), which must be in lexicographic order.
-    For each (J, sigma), in that order with sigma from all +1 to all -1,
-    ``programs(J, sigma, upper)`` yields (anchor, keywords): the
-    coordinate the LP pins (or None) and the LinearProgram keywords
-    (bounds, equality rows) of each LP to solve.  ``upper`` is ``box`` on
-    a and b and inf on t, with the sign holds: b_j at 0 where sigma_j = +1,
-    a_j at 0 where sigma_j = -1; a program that changes it copies it first.
-    Returns (value, certificate a - b, J, sigma, lp_count) for the first
-    strictly smallest value, in depth-first order within each LP.
+    sum_{J^c}(a + b) - sum_J(a + b) <= 0.  For each J of ``supports``
+    (default: all; in lexicographic order) and each sigma, all +1 first,
+    ``programs(J, sigma, upper)`` yields the anchor each LP pins (or None)
+    and its LinearProgram keywords.  ``upper`` is ``box`` on a and b and
+    inf on t, with the sign holds (b_j at 0 where sigma_j = +1, a_j where
+    sigma_j = -1); a program that changes it copies it first.  Returns
+    (value, certificate a - b, J, sigma, lp_count) of the first strictly
+    smallest value.
 
-    With ``branches`` (kappa_one's unit-mass LPs), an optimum with
-    |delta|_1 < 1 - 1e-9 pairs: two copies of its LP replace it, b_j held
-    at 0 (solved first) and a_j, for the first j with the largest
-    min(a_j, b_j), in J^c by the sign holds.  A copy whose parent's value,
-    or its own, is not below the best is dropped.  Past ``branches`` solved
-    copies, an unsolved one counts as its parent's value, uncertified.
+    An optimum with |delta|_1 < 1 - 1e-9 pairs (only kappa_one's unit-mass
+    LPs can; an anchored delta has |delta|_1 >= 1).  The paired LPs are
+    searched after all the others, lowest first, each depth first: two
+    copies replace an LP, b_j held at 0 (solved first) and a_j, for the
+    first j with the largest min(a_j, b_j).  A copy is dropped when its
+    parent's value, or its own, is not below the best.  Past ``branches``
+    copies the search stops, uncertified, at the least open parent value.
 
     Every LP is feasible and bounded: delta = e_j for an anchor j in J (or
     sigma_j e_j, j in J, without one), plus e_k for an anchor k outside J,
@@ -182,43 +181,47 @@ def _enumerate_cones(psi, s, programs, box=1.0, supports=None, branches=None):
     not OPTIMAL raises SensitivityLpError, never skipped.
     """
     p = psi.shape[0]
-    epigraph = _epigraph(psi)
-    b = np.zeros(2 * p + 1)
-    best, found, lp_count = np.inf, (None, None, None), 0
+    epigraph, b = _epigraph(psi), np.zeros(2 * p + 1)
+    best, found, lp_count, paired = np.inf, (None, None, None), 0, []
+
+    def cone_rows(J):  # coordinate i % p of z's entry i, before t
+        cone = np.where(np.isin(np.arange(2 * p) % p, J), -1.0, 1.0)
+        return np.vstack([epigraph, np.append(cone, 0.0)])
+
+    def solve(A, where, rows):  # the copies that replace a paired optimum
+        nonlocal best, found, lp_count
+        sol = _min_t(A, b, where, **rows)
+        lp_count += 1
+        value, a, z = sol.objective_value, sol.x[:p], sol.x[p:2 * p]
+        if value < best and np.sum(np.abs(a - z)) >= 1 - 1e-9:
+            best, found = value, (a - z, *where[:2])
+        if value >= best:  # dropped, or the new best
+            return []
+        j = int(np.argmax(np.minimum(a, z)))
+        held = [rows["upper"].copy() for _ in range(2)]
+        held[0][p + j] = held[1][j] = 0.0  # b_j held, then a_j
+        return [(value, where, rows | {"upper": u}) for u in held]
+
     for J in combinations(range(p), s) if supports is None else supports:
-        cone = np.ones(2 * p + 1)
-        cone[list(J)] = cone[[p + j for j in J]] = -1.0
-        cone[-1] = 0.0
-        A = np.vstack([epigraph, cone])
-        for sigma in product((1.0, -1.0), repeat=s):
-            sigma = np.array(sigma)
-            upper = np.full(2 * p + 1, box)
-            upper[-1] = np.inf
+        A = cone_rows(J)
+        for sigma in map(np.array, product((1.0, -1.0), repeat=s)):
+            upper = np.append(np.full(2 * p, box), np.inf)
             upper[[j if sg < 0 else p + j for j, sg in zip(J, sigma)]] = 0.0
             for anchor, rows in programs(J, sigma, upper):
-                nodes = [(-np.inf, rows)]  # copies carry the parent's value
-                while nodes:
-                    value, rows = nodes.pop()
-                    if -np.inf < value < best and not branches:
-                        best, found = value, (None, None, None)
-                    if value >= best:
-                        continue
-                    if value > -np.inf:
-                        branches -= 1
-                    sol = _min_t(A, b, (J, sigma, anchor), **rows)
-                    lp_count += 1
-                    value = sol.objective_value
-                    a, z = sol.x[:p], sol.x[p:2 * p]
-                    if value >= best:
-                        continue
-                    if branches is None or np.sum(np.abs(a - z)) >= 1 - 1e-9:
-                        best, found = value, (a - z, J, sigma)
-                        continue
-                    j = int(np.argmax(np.minimum(a, z)))
-                    for held in (j, p + j):  # pushed last, b_j held runs first
-                        copy = rows["upper"].copy()
-                        copy[held] = 0.0
-                        nodes.append((value, rows | {"upper": copy}))
+                paired += solve(A, (J, sigma, anchor), rows)
+    # a stack with the copies of the lowest paired LP on top, in solve order
+    nodes = sorted(paired, key=lambda node: node[0])[::-1]
+    while nodes:
+        value, where, rows = nodes.pop()
+        if value >= best:
+            continue
+        if not branches:
+            best, found = min([value] + [n[0] for n in nodes]), (None,) * 3
+            break
+        branches -= 1
+        if where[0] != J:
+            J, A = where[0], cone_rows(where[0])
+        nodes += solve(A, where, rows)[::-1]
     return (float(best), *found, lp_count)
 
 
@@ -255,7 +258,6 @@ def kappa_inf_exact(psi, s, budget_cap=DEFAULT_BUDGET_CAP):
     psi = check_gram(psi)
     p = psi.shape[0]
     _check_s(p, s)
-
     t0 = time.perf_counter()
     bounds = _anchor_bounds(psi, s)
     visit = math.comb(p - 1, s - 1) * 2 ** (s - 1)
@@ -290,15 +292,14 @@ _walk = kappa_inf_exact
 def kappa_one(psi, s, budget_cap=DEFAULT_BUDGET_CAP):
     """l1 sensitivity via the mass-split LP, one per (support, sign pattern).
 
-    With unit mass 1'(a + b) = 1, every unit-l1 cone vector is feasible.
-    An optimum with |delta|_1 = 1 is one; one that pairs a_j with b_j
-    branches on the sign of delta_j (``_enumerate_cones``).  The least
-    pair-free optimum is exact, with delta as certificate.  Swapping a and
-    b maps the LPs of -sigma onto those of sigma, so the roots are those
-    with sigma_1 = +1: C(p, s)*2^(s-1) LPs, or past budget_cap the l1
-    reduction of kappa_inf_exact(psi, s, budget_cap).  Branches spend the
-    rest of budget_cap; cut short, the result is a lower bound without
-    certificate, at least the least root value.
+    With unit mass 1'(a + b) = 1 every unit-l1 cone vector is feasible,
+    and an optimum with |delta|_1 = 1 is one.  Swapping a and b maps the
+    LPs of -sigma onto those of sigma, so the roots are the C(p, s)*2^(s-1)
+    with sigma_1 = +1; past budget_cap they give way to the l1 reduction of
+    kappa_inf_exact(psi, s, budget_cap).  The roots that pair a_j with b_j
+    are searched (``_enumerate_cones``) with the rest of budget_cap: the
+    least pair-free optimum is exact, with delta as certificate; a search
+    cut short is an uncertified lower bound, at least the least root value.
     """
     psi = check_gram(psi)
     p = psi.shape[0]

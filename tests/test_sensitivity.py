@@ -339,6 +339,39 @@ class TestKappaOne:
         assert r.value == pytest.approx(value, rel=1e-12)
         assert r.lp_count > 20
 
+    @pytest.mark.parametrize("p, s, seed", [(5, 2, 1), (7, 3, 2)])
+    def test_roots_are_solved_first(self, lp_stops, lp_solutions, p, s,
+                                    seed):
+        """Every root is solved before any branch, and the paired roots
+        are searched from the lowest value up."""
+        held = lp_stops(0)
+        solved = lp_solutions(sensitivity)
+        r = kappa_one(normalized_gram(p, 30, seed), s)
+        roots = math.comb(p, s) * 2 ** (s - 1)
+        held = [int(np.sum(lp.upper[:-1] == 0.0)) for lp in held]
+        assert len(held) == len(solved) == r.lp_count
+        assert held[:roots] == [s] * roots
+        assert all(n > s for n in held[roots:])
+        paired = [sol.objective_value for sol in solved[:roots]
+                  if np.sum(np.abs(sol.x[:p] - sol.x[p:2 * p])) < 1 - 1e-9]
+        assert paired
+        if r.lp_count > roots:
+            assert min(paired) < r.value
+            # the first branch holds one more part than the lowest root
+            assert held[roots] == s + 1
+
+    def test_pair_free_least_root_ends_the_search(self, lp_solutions):
+        """normalized_gram(7, 30, 2) at s = 3 has paired roots, but its
+        least root is pair-free, so no branch runs (searching each paired
+        root as it came took 214 LPs)."""
+        solved = lp_solutions(sensitivity)
+        psi = normalized_gram(7, 30, 2)
+        r = self.assert_exact(psi, 3)
+        assert r.lp_count == len(solved) == math.comb(7, 3) * 4
+        assert r.value == min(sol.objective_value for sol in solved)
+        assert any(np.sum(np.abs(sol.x[:7] - sol.x[7:14])) < 1 - 1e-9
+                   for sol in solved)
+
     @pytest.mark.parametrize("p, s", [(4, 2), (6, 2)])
     def test_lp_count_is_budget(self, lp_stops, p, s):
         """Only the sign patterns with sigma_1 = +1 are roots: C(p, s) *

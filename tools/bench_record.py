@@ -24,7 +24,9 @@ seeded, normalized 100x500 Gram of tests/conftest.py's
 process's wall and CPU time, the result's own ``wall_time``, its
 ``lp_count``, the pivots summed over its LPs (``LpSolution.iterations``,
 counted through a wrapper on ``musel.sensitivity.solve_lp``), its value and
-its kind; likewise ``kappa_one(psi, 1)``.  Last it runs the Tier-1 suite once
+its kind; likewise ``kappa_one(psi, 1)``, and ``kappa_one`` at s = 1 on
+the plug-in Gram of the same design with 10% of its entries masked
+(``apply_mask`` seed 1).  Last it runs the Tier-1 suite once
 (``python -m pytest -q --continue-on-collection-errors -p
 no:cacheprovider`` with this checkout's src first on PYTHONPATH) and
 takes its wall and CPU time and its passed, skipped and failed counts.
@@ -53,11 +55,16 @@ WORKLOADS = ("sim-reduced", "estimate-p500", "sens-fixedpoint")
 SEEDS = (1001, 1002, 1003, 1004, 1005)
 SECONDS = 30.0
 COLD_STARTS = 15
-SENSITIVITIES = (("kappa_inf_exact", 1), ("kappa_lower_bound", 2),
-                 ("kappa_one", 1))
+SENSITIVITIES = (("kappa_inf_exact", 1, "normalized"),
+                 ("kappa_lower_bound", 2, "normalized"),
+                 ("kappa_one", 1, "normalized"), ("kappa_one", 1, "masked"))
+GRAMS = {"normalized": "normalized_gram(500, 100, 1)",
+         "masked": "gram(rescale(Z, 0.1), sigma_hat(Z, 0.1))"}
 
 # one sensitivity call on normalized_gram(500, 100, 1) of tests/conftest.py,
-# summing the pivots of every LP it solves
+# or on the plug-in Gram of its design X with 10% of the entries masked,
+# Z = apply_mask(X, 0.1, 1) (indefinite, as under the paper's missing-data
+# model), summing the pivots of every LP it solves
 SENSITIVITY_CODE = """
 import json, sys
 import numpy as np
@@ -72,7 +79,13 @@ rng = np.random.default_rng(1)
 X = rng.standard_normal((100, 500))
 X -= X.mean(axis=0)
 X /= np.sqrt((X ** 2).mean(axis=0))
-r = getattr(sensitivity, sys.argv[1])(X.T @ X / 100, int(sys.argv[2]))
+psi = X.T @ X / 100
+if sys.argv[3] == "masked":
+    from musel.core import gram
+    from musel.missing import apply_mask, rescale, sigma_hat
+    Z = apply_mask(X, 0.1, 1)
+    psi = gram(rescale(Z, 0.1), sigma_hat(Z, 0.1))
+r = getattr(sensitivity, sys.argv[1])(psi, int(sys.argv[2]))
 print(json.dumps({"value": r.value, "kind": r.kind, "lp_count": r.lp_count,
                   "pivots": sum(pivots), "call_wall_s": r.wall_time}))
 """
@@ -180,14 +193,15 @@ def cold_estimate():
     return cold, read
 
 
-def sensitivity_times(name, s):
-    """One ``name(psi, s)`` call in a fresh interpreter on this checkout's src."""
+def sensitivity_times(name, s, psi):
+    """One ``name(psi, s)`` call in a fresh interpreter on this checkout's
+    src, psi a key of GRAMS."""
     cpu0, t0 = child_cpu(), time.monotonic()
-    out = subprocess.run([sys.executable, "-c", SENSITIVITY_CODE, name, str(s)],
-                         env=src_env(), check=True, capture_output=True,
-                         text=True).stdout
+    out = subprocess.run([sys.executable, "-c", SENSITIVITY_CODE, name, str(s),
+                          psi], env=src_env(), check=True,
+                         capture_output=True, text=True).stdout
     wall, cpu = time.monotonic() - t0, child_cpu() - cpu0
-    return {"call": f"{name}(normalized_gram(500, 100, 1), {s})",
+    return {"call": f"{name}({GRAMS[psi]}, {s})",
             "wall_s": wall, "cpu_s": cpu, **json.loads(out)}
 
 
@@ -251,8 +265,8 @@ def main():
               file=sys.stderr)
     print(f"estimate pivots: {estimate['iterations']}; read_matrix: "
           f"{1e3 * read['median_s']:.1f} ms (median)", file=sys.stderr)
-    sens = {f"{name}_s{s}": sensitivity_times(name, s)
-            for name, s in SENSITIVITIES}
+    sens = {f"{name}_s{s}" + ("" if psi == "normalized" else f"_{psi}"):
+            sensitivity_times(name, s, psi) for name, s, psi in SENSITIVITIES}
     for key, t in sens.items():
         print(f"{key}: {t['call_wall_s']:.1f} s in the call, {t['wall_s']:.1f} s "
               f"wall, {t['cpu_s']:.1f} s CPU, {t['lp_count']} LPs, "
