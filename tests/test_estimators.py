@@ -572,6 +572,27 @@ class TestFreeDomain:
         assert abs(est.l1_norm - oracle) <= 1e-9 * max(1.0, oracle)
         assert est.fp_rounds == 3
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_unproven_lp_ends_the_search(self, monkeypatch, n):
+        """The n-th of the paired instance's 3 LPs ends at its iteration
+        limit: the search stops there with that status and theta = 0, and
+        counts the LPs and pivots solved up to it."""
+        real, solved = estimators.solve_lp, []
+
+        def solve(lp):
+            sol = real(lp)
+            solved.append(sol)
+            if len(solved) == n:
+                return replace(sol, status=LpStatus.ITERATION_LIMIT)
+            return sol
+
+        monkeypatch.setattr(estimators, "solve_lp", solve)
+        est = solve_compensated_mu(*paired_free_instance())
+        assert est.status is LpStatus.ITERATION_LIMIT
+        assert np.array_equal(est.theta, np.zeros(len(est.theta)))
+        assert est.fp_rounds == len(solved) == n
+        assert est.iterations == sum(sol.iterations for sol in solved)
+
 
 @pytest.mark.parametrize("call, message", [
     (lambda: SelectorConfig(mu=0.1, tau=0.1, domain="box"),
