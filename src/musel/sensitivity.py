@@ -13,17 +13,15 @@ are bounds on a and b.  Exact values come from enumerating (support, sign
 pattern) pairs and solving a few small LPs per pair.  The delta -> -delta
 symmetry and the fact that a cone vector lies in the cone of its own s
 largest entries leave s*2^(s-1) anchor LPs per support for kappa_inf, and a
-relaxation LP per anchor bounds them all, so only the anchors whose bound
-can still win are enumerated; kappa_one branches on the sign of an index
-its optimum pairs, and certifies its least pair-free optimum.
-A budget caps the LPs a call solves; past it the result is a lower bound
-from kappa_inf_exact's anchor walk, stopped early (kappa_lower_bound is the
-walk with no visits).
+relaxation LP per anchor bounds them all; kappa_one branches on the sign
+of an index its optimum pairs.  Both searches run on ``_search``; past its
+budget a result is a lower bound (kappa_lower_bound visits no anchor).
 """
 
 import math
 import time
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import combinations, product
 
 import numpy as np
@@ -32,7 +30,6 @@ from .core import check_gram
 from .lp import LinearProgram, LpStatus, solve_lp
 
 DEFAULT_BUDGET_CAP = 100_000
-STAR_EXACT_P_MAX = 6  # kappa_star enumerates exactly up to this p
 
 KIND_EXACT = "exact"
 KIND_LOWER_BOUND = "lower_bound"
@@ -153,6 +150,30 @@ def _anchor_lps(k):
     return programs
 
 
+def _search(nodes, expand, budget, best=(np.inf,), found=None):
+    """Land & Doig's LP-bounded search over (bound, cost, node) entries,
+    ``nodes`` in pop order, on a stack.  A node whose bound exceeds best[0]
+    by more than 1e-7*(1 + |best[0]|) is dropped; one whose cost would take
+    the LPs spent past ``budget`` stops the search, uncertified, at the
+    least of best[0] and the open bounds.  Else expand(node) gives (key,
+    certificate, children): a key (value first) below ``best`` makes the
+    incumbent, and the children with bound below best[0] are pushed, the
+    first on top.  Returns (value, certificate, LPs spent)."""
+    stack, spent = nodes[::-1], 0
+    while stack:
+        bound, cost, node = stack.pop()
+        if bound > best[0] + 1e-7 * (1.0 + abs(best[0])):
+            continue
+        if spent + cost > budget:
+            return min([best[0], bound] + [e[0] for e in stack]), None, spent
+        spent += cost
+        key, cert, children = expand(node)
+        if key < best:
+            best, found = key, cert
+        stack += [e for e in children[::-1] if e[0] < best[0]]
+    return best[0], found, spent
+
+
 def _enumerate_cones(psi, s, programs, box=1.0, supports=None, branches=0):
     """Minimize over the cone LPs of size-s supports J and sign patterns.
 
@@ -167,12 +188,11 @@ def _enumerate_cones(psi, s, programs, box=1.0, supports=None, branches=0):
     smallest value.
 
     An optimum with |delta|_1 < 1 - 1e-9 pairs (only kappa_one's unit-mass
-    LPs can; an anchored delta has |delta|_1 >= 1).  The paired LPs are
-    searched after all the others, lowest first, each depth first: two
-    copies replace an LP, b_j held at 0 (solved first) and a_j, for the
-    first j with the largest min(a_j, b_j).  A copy is dropped when its
-    parent's value, or its own, is not below the best.  Past ``branches``
-    copies the search stops, uncertified, at the least open parent value.
+    LPs can; an anchored delta has |delta|_1 >= 1) and certifies nothing.
+    After every LP, ``_search`` takes the paired ones lowest first, with
+    ``branches`` copies as budget: two copies replace each, bounded by its
+    value, b_j held at 0 (searched first) and a_j, for the first j with
+    the largest min(a_j, b_j).
 
     Every LP is feasible and bounded: delta = e_j for an anchor j in J (or
     sigma_j e_j, j in J, without one), plus e_k for an anchor k outside J,
@@ -182,47 +202,36 @@ def _enumerate_cones(psi, s, programs, box=1.0, supports=None, branches=0):
     """
     p = psi.shape[0]
     epigraph, b = _epigraph(psi), np.zeros(2 * p + 1)
-    best, found, lp_count, paired = np.inf, (None, None, None), 0, []
 
+    @lru_cache(maxsize=1)
     def cone_rows(J):  # coordinate i % p of z's entry i, before t
         cone = np.where(np.isin(np.arange(2 * p) % p, J), -1.0, 1.0)
         return np.vstack([epigraph, np.append(cone, 0.0)])
 
-    def solve(A, where, rows):  # the copies that replace a paired optimum
-        nonlocal best, found, lp_count
-        sol = _min_t(A, b, where, **rows)
-        lp_count += 1
+    def solve(node):
+        where, rows = node
+        sol = _min_t(cone_rows(where[0]), b, where, **rows)
         value, a, z = sol.objective_value, sol.x[:p], sol.x[p:2 * p]
-        if value < best and np.sum(np.abs(a - z)) >= 1 - 1e-9:
-            best, found = value, (a - z, *where[:2])
-        if value >= best:  # dropped, or the new best
-            return []
+        if np.sum(np.abs(a - z)) >= 1 - 1e-9:
+            return (value,), (a - z, *where[:2]), []
         j = int(np.argmax(np.minimum(a, z)))
         held = [rows["upper"].copy() for _ in range(2)]
         held[0][p + j] = held[1][j] = 0.0  # b_j held, then a_j
-        return [(value, where, rows | {"upper": u}) for u in held]
+        return (np.inf,), None, [(value, 1, (where, rows | {"upper": u}))
+                                 for u in held]
 
+    solved = []
     for J in combinations(range(p), s) if supports is None else supports:
-        A = cone_rows(J)
         for sigma in map(np.array, product((1.0, -1.0), repeat=s)):
             upper = np.append(np.full(2 * p, box), np.inf)
             upper[[j if sg < 0 else p + j for j, sg in zip(J, sigma)]] = 0.0
-            for anchor, rows in programs(J, sigma, upper):
-                paired += solve(A, (J, sigma, anchor), rows)
-    # a stack with the copies of the lowest paired LP on top, in solve order
-    nodes = sorted(paired, key=lambda node: node[0])[::-1]
-    while nodes:
-        value, where, rows = nodes.pop()
-        if value >= best:
-            continue
-        if not branches:
-            best, found = min([value] + [n[0] for n in nodes]), (None,) * 3
-            break
-        branches -= 1
-        if where[0] != J:
-            J, A = where[0], cone_rows(where[0])
-        nodes += solve(A, where, rows)[::-1]
-    return (float(best), *found, lp_count)
+            solved += [solve(((J, sigma, anchor), rows))
+                       for anchor, rows in programs(J, sigma, upper)]
+    best, found, _ = min(solved, key=lambda root: root[0])
+    paired = sorted((e for *_, copies in solved for e in copies
+                     if e[0] < best[0]), key=lambda e: e[0])
+    value, found, spent = _search(paired, solve, branches, best, found)
+    return (float(value), *(found or (None,) * 3), len(solved) + spent)
 
 
 def kappa_inf_exact(psi, s, budget_cap=DEFAULT_BUDGET_CAP):
@@ -242,13 +251,9 @@ def kappa_inf_exact(psi, s, budget_cap=DEFAULT_BUDGET_CAP):
     Every feasible delta of a cone LP of anchor k has delta_k = 1,
     |delta|_inf <= 1 and |delta|_1 <= 2|delta_J|_1 <= 2s, so it is feasible
     for anchor k's relaxation, whose value b_k is therefore at most every
-    cone LP value of anchor k.  The anchors are then visited in stable
-    ascending order of b_k, each with its C(p-1, s-1)*2^(s-1) cone LPs, up
-    to the first anchor with b_k > best + 1e-7*(1 + |best|): no later
-    anchor can hold the minimum.  A visit runs only while lp_count stays
-    within budget_cap; a walk stopped by the budget is a "lower_bound"
-    without certificate, min(best, b_k) with k the next anchor, since every
-    unvisited anchor's cone LPs are at least its b_k >= this b_k.
+    cone LP value of anchor k.  ``_search`` then takes the anchors in
+    stable ascending order of b_k, b_k as bound, and the rest of budget_cap
+    as budget; visiting one costs its C(p-1, s-1)*2^(s-1) cone LPs.
 
     Of equal values the one first in the lexicographic order of (J, sigma,
     anchor) wins, sigma ordered +1 before -1: the first strictly smallest
@@ -261,26 +266,22 @@ def kappa_inf_exact(psi, s, budget_cap=DEFAULT_BUDGET_CAP):
     t0 = time.perf_counter()
     bounds = _anchor_bounds(psi, s)
     visit = math.comb(p - 1, s - 1) * 2 ** (s - 1)
-    lp_count = p
-    best, cert = (np.inf,), None
-    for k in np.argsort(bounds, kind="stable").tolist():
-        if bounds[k] > best[0] + 1e-7 * (1.0 + abs(best[0])):
-            break
-        if lp_count + visit > budget_cap:
-            best, cert = (min(best[0], bounds[k]), None), None
-            break
-        value, z, J, sigma, n = _enumerate_cones(
+
+    def expand(k):
+        value, z, J, sigma, _ = _enumerate_cones(
             psi, s, _anchor_lps(k),
             supports=[J for J in combinations(range(p), s) if k in J])
-        lp_count += n
-        key = (value, J, tuple(-sigma), k)
-        if key < best:
-            best, cert = key, z
-    value, cert_J = best[:2]
+        return (value, J, tuple(-sigma), k), (z, J), []
+
+    value, found, spent = _search(
+        [(bounds[k], visit, k)
+         for k in np.argsort(bounds, kind="stable").tolist()],
+        expand, budget_cap - p)
+    cert, cert_J = found or (None, None)
     kind = KIND_EXACT if cert is not None else KIND_LOWER_BOUND
     return SensitivityResult(value=float(value), kind=kind, s=s, q=np.inf,
                              certificate=cert, certificate_J=cert_J,
-                             lp_count=lp_count,
+                             lp_count=p + spent,
                              wall_time=time.perf_counter() - t0)
 
 
@@ -344,25 +345,23 @@ def kappa_star(psi, s, k, budget_cap=DEFAULT_BUDGET_CAP):
     """Coordinate-wise sensitivity: min |Psi delta|_inf over cone vectors
     with delta_k = 1.
 
-    For p <= STAR_EXACT_P_MAX the (support, sign) enumeration solves the
-    problem exactly: each cone LP holds a_k at 1 and b_k at 0 (skipping
-    the sign patterns that hold a_k at 0), over unbounded a and b.  For
-    larger p, or past budget_cap LPs (C(p, s)*2^s planned), the result is
-    kappa_lower_bound(psi, s) relabelled to coordinate k, the same for
-    every k, so one call gives the bound of all p coordinates.  It is
-    min_j b_j over the relaxations of ``_anchor_bounds`` and a lower bound
-    here as well: a delta in C_J with delta_k = 1 has M = |delta|_inf >= 1,
-    and +-delta/M, the sign making its largest entry j equal to +1, is
-    feasible for the relaxation of j, so |Psi delta|_inf >= M*b_j >= min_j
-    b_j.
+    The (support, sign) enumeration solves it exactly: each cone LP holds
+    a_k at 1 and b_k at 0 (skipping the sign patterns that hold a_k at 0),
+    over unbounded a and b.  Past budget_cap LPs (C(p, s)*2^s planned) the
+    result is kappa_lower_bound(psi, s) relabelled to coordinate k, the
+    same for every k, so one call gives the bound of all p coordinates.
+    It is min_j b_j over the relaxations of ``_anchor_bounds`` and a lower
+    bound here as well: a delta in C_J with delta_k = 1 has
+    M = |delta|_inf >= 1, and +-delta/M, the sign making its largest entry
+    j equal to +1, is feasible for the relaxation of j, so
+    |Psi delta|_inf >= M*b_j >= min_j b_j.
     """
     psi = check_gram(psi)
     p = psi.shape[0]
     _check_s(p, s)
     if not 0 <= k < p:
         raise ValueError(f"coordinate k must be in [0, {p}), got {k}")
-
-    if p > STAR_EXACT_P_MAX or math.comb(p, s) * 2 ** s > budget_cap:
+    if math.comb(p, s) * 2 ** s > budget_cap:
         return replace(kappa_lower_bound(psi, s), q=None, coord=k)
     t0 = time.perf_counter()
     value, cert, cert_J, _, lp_count = _enumerate_cones(

@@ -645,9 +645,11 @@ class TestSensitivity:
         out = tmp_path / "s.json"
         lp_stops(1)
         r = runner.invoke(cli, ["sensitivity", "--gram", str(tmp_path / "g.csv"),
-                                "--s", "2", "--q", "star:3", "--out", str(out)])
+                                "--s", "2", "--q", "star:3", "--budget", "83",
+                                "--out", str(out)])
         assert r.exit_code == 3, r.output
-        # p = 7: the first LP is anchor 0's relaxation
+        # below the plan of C(7, 2)*4 = 84 LPs the first LP is anchor 0's
+        # relaxation
         assert "anchor=0) ended iteration_limit" in r.output
         assert not out.exists()
 

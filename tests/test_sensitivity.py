@@ -484,17 +484,16 @@ class TestKappaStar:
             assert ks >= kinf - 1e-8
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_relaxed_lower_bounds_exact(self, seed, monkeypatch):
+    def test_relaxed_lower_bounds_exact(self, seed):
         psi = normalized_gram(5, 50, 300 + seed)
         exact = kappa_star(psi, 1, 2)
-        monkeypatch.setattr(sensitivity, "STAR_EXACT_P_MAX", 4)
-        relaxed = kappa_star(psi, 1, 2)
+        relaxed = kappa_star(psi, 1, 2, budget_cap=5 * 2 - 1)
         assert exact.kind == "exact" and relaxed.kind == "lower_bound"
         assert relaxed.value <= exact.value + 1e-8
 
     def test_relaxed_bound_below_large_cone_vector(self):
-        """Past STAR_EXACT_P_MAX the bound holds for cone vectors whose
-        entries far exceed delta_k = 1: on the rank-one Gram v v' with
+        """Below its plan the bound holds for cone vectors whose entries
+        far exceed delta_k = 1: on the rank-one Gram v v' with
         v = (1, -0.1, 0, ...), delta = (1, 10, 0, ...) lies in C_{1} and
         Psi delta vanishes up to rounding."""
         v = np.zeros(8)
@@ -504,22 +503,59 @@ class TestKappaStar:
         delta[:2] = (1.0, 10.0)
         assert in_cone(delta, [1])
         attained = float(np.max(np.abs(psi @ delta)))
-        r = kappa_star(psi, 1, 0)
+        r = kappa_star(psi, 1, 0, budget_cap=8 * 2 - 1)
         assert r.value <= attained
         assert r.kind == "lower_bound" and r.lp_count == 8
 
     @pytest.mark.parametrize("p, s", [(7, 1), (7, 2), (8, 1), (8, 2)])
     def test_past_exact_is_lower_bound(self, p, s):
-        """Past STAR_EXACT_P_MAX every coordinate gets kappa_lower_bound's
-        value, bit for bit, from the same p relaxations."""
+        """Below its plan every coordinate gets kappa_lower_bound's value,
+        bit for bit, from the same p relaxations."""
         psi = normalized_gram(p, 30, 40 * p + s)
         lb = kappa_lower_bound(psi, s)
         for k in (0, 3, p - 1):
-            r = kappa_star(psi, s, k)
+            r = kappa_star(psi, s, k, budget_cap=math.comb(p, s) * 2 ** s - 1)
             assert np.float64(r.value).tobytes() == np.float64(lb.value).tobytes()
             assert (r.kind, r.s, r.q, r.coord, r.lp_count) == (
                 "lower_bound", s, None, k, p)
             assert r.to_dict()["q"] == f"star:{k}"
+
+    def test_all_negative_support(self):
+        """On the rank-one Gram v v' with v = (1, 0.1), delta = (1, -10)
+        lies in C_{1} and Psi delta = 0: kappa*_0 is attained on the sign
+        pattern of J = {1} whose entries are all -1 (J = {0} gives 0.9)."""
+        v = np.array([1.0, 0.1])
+        r = kappa_star(np.outer(v, v), 1, 0)
+        assert (r.kind, r.certificate_J) == ("exact", (1,))
+        assert r.value == pytest.approx(0.0, abs=1e-12)
+        assert r.certificate == pytest.approx([1.0, -10.0], abs=1e-9)
+
+    # 22 (Gram, s), normalized and masked plug-in Grams: two seeds at each
+    # p 7-10 at s = 1, one at p 7-9 at s = 2
+    @pytest.mark.parametrize("kind, p, s, seed", [
+        (kind, p, s, seed) for kind in ("normalized", "masked")
+        for p in range(7, 11) for s in (1, 2) if s == 1 or p < 10
+        for seed in ((p, 100 + p) if s == 1 else (p,))])
+    def test_min_over_coordinates_is_kappa_inf(self, kind, p, s, seed):
+        """min_k kappa*_k = kappa_inf: a cone vector with delta_k = 1,
+        scaled by 1/|delta|_inf, is one of kappa_inf's, and kappa_inf's
+        certificate is one of kappa*_k's for k its +1 entry.  Each kappa*_k
+        is exact, at least kappa_lower_bound, and certified by a cone
+        vector with delta_k = 1 that attains it."""
+        psi = (normalized_gram(p, 30, seed) if kind == "normalized"
+               else masked_gram(p, seed))
+        bound = kappa_lower_bound(psi, s).value
+        stars = [kappa_star(psi, s, k) for k in range(p)]
+        for k, r in enumerate(stars):
+            assert r.kind == "exact"
+            assert r.value >= bound - 1e-12 * abs(bound)
+            assert r.certificate[k] == 1.0
+            assert in_cone(r.certificate, r.certificate_J, tol=1e-9)
+            attained = float(np.max(np.abs(psi @ r.certificate)))
+            scale = max(1.0, float(np.max(np.abs(r.certificate))))
+            assert attained == pytest.approx(r.value, abs=1e-9 * scale)
+        exact = kappa_inf_exact(psi, s).value
+        assert abs(min(r.value for r in stars) - exact) <= 1e-12 * exact
 
     @pytest.mark.parametrize("p, s", [(4, 1), (5, 2), (6, 3)])
     def test_below_plan_is_lower_bound(self, p, s):
@@ -781,12 +817,12 @@ class TestFailedLp:
         assert len(solved) == 6
 
     def test_kappa_star_relaxation_raises(self, lp_stops):
-        # p = 7 > STAR_EXACT_P_MAX: the p anchor relaxations, of which the
-        # first, anchor 0's, stops whatever coordinate is asked for
+        # below the plan of C(7, 2)*4 = 84 LPs: the p anchor relaxations, of
+        # which the first, anchor 0's, stops whatever coordinate is asked for
         psi = normalized_gram(7, 30, 5)
         solved = lp_stops(1)
         with pytest.raises(sensitivity.SensitivityLpError) as e:
-            kappa_star(psi, 2, 3)
+            kappa_star(psi, 2, 3, budget_cap=83)
         err = e.value
         assert (err.status, err.J, err.sigma, err.anchor) == (
             LpStatus.ITERATION_LIMIT, None, None, 0)
