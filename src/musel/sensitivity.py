@@ -151,14 +151,14 @@ def _anchor_lps(k):
 
 
 def _search(nodes, expand, budget, best=(np.inf,), found=None):
-    """Land & Doig's LP-bounded search over (bound, cost, node) entries,
-    ``nodes`` in pop order, on a stack.  A node whose bound exceeds best[0]
-    by more than 1e-7*(1 + |best[0]|) is dropped; one whose cost would take
-    the LPs spent past ``budget`` stops the search, uncertified, at the
-    least of best[0] and the open bounds.  Else expand(node) gives (key,
-    certificate, children): a key (value first) below ``best`` makes the
-    incumbent, and the children with bound below best[0] are pushed, the
-    first on top.  Returns (value, certificate, LPs spent)."""
+    """Land & Doig's search over (bound, cost, node) entries, ``nodes`` in
+    pop order, on a stack.  A node whose bound exceeds best[0] by more than
+    1e-7*(1 + |best[0]|) is dropped; one whose cost would take the LPs spent
+    past ``budget`` stops the search, uncertified, at the least of best[0]
+    and the open bounds.  Else expand(node) gives (key, certificate,
+    children): a key (value first) below ``best`` is the new incumbent, and
+    the children with bound below best[0] are pushed, the first on top.
+    Returns (value, certificate, LPs spent)."""
     stack, spent = nodes[::-1], 0
     while stack:
         bound, cost, node = stack.pop()
@@ -220,18 +220,20 @@ def _enumerate_cones(psi, s, programs, box=1.0, supports=None, branches=0):
         return (np.inf,), None, [(value, 1, (where, rows | {"upper": u}))
                                  for u in held]
 
-    solved = []
+    best, found, paired, roots = (np.inf,), None, [], 0
     for J in combinations(range(p), s) if supports is None else supports:
         for sigma in map(np.array, product((1.0, -1.0), repeat=s)):
             upper = np.append(np.full(2 * p, box), np.inf)
             upper[[j if sg < 0 else p + j for j, sg in zip(J, sigma)]] = 0.0
-            solved += [solve(((J, sigma, anchor), rows))
-                       for anchor, rows in programs(J, sigma, upper)]
-    best, found, _ = min(solved, key=lambda root: root[0])
-    paired = sorted((e for *_, copies in solved for e in copies
-                     if e[0] < best[0]), key=lambda e: e[0])
+            for anchor, rows in programs(J, sigma, upper):
+                key, cert, copies = solve(((J, sigma, anchor), rows))
+                roots += 1
+                if key < best:
+                    best, found = key, cert
+                paired += [e for e in copies if e[0] < best[0]]
+    paired = sorted((e for e in paired if e[0] < best[0]), key=lambda e: e[0])
     value, found, spent = _search(paired, solve, branches, best, found)
-    return (float(value), *(found or (None,) * 3), len(solved) + spent)
+    return (float(value), *(found or (None,) * 3), roots + spent)
 
 
 def kappa_inf_exact(psi, s, budget_cap=DEFAULT_BUDGET_CAP):
@@ -273,10 +275,9 @@ def kappa_inf_exact(psi, s, budget_cap=DEFAULT_BUDGET_CAP):
             supports=[J for J in combinations(range(p), s) if k in J])
         return (value, J, tuple(-sigma), k), (z, J), []
 
-    value, found, spent = _search(
-        [(bounds[k], visit, k)
-         for k in np.argsort(bounds, kind="stable").tolist()],
-        expand, budget_cap - p)
+    order = np.argsort(bounds, kind="stable").tolist()
+    value, found, spent = _search([(bounds[k], visit, k) for k in order],
+                                  expand, budget_cap - p)
     cert, cert_J = found or (None, None)
     kind = KIND_EXACT if cert is not None else KIND_LOWER_BOUND
     return SensitivityResult(value=float(value), kind=kind, s=s, q=np.inf,
