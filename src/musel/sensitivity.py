@@ -189,7 +189,7 @@ def _enumerate_cones(psi, s, programs, box=1.0, supports=None, branches=0):
 
     An optimum with |delta|_1 < 1 - 1e-9 pairs (only kappa_one's unit-mass
     LPs can; an anchored delta has |delta|_1 >= 1) and certifies nothing.
-    After every LP, ``_search`` takes the paired ones lowest first, with
+    Once all are solved, ``_search`` takes the paired LPs lowest first, with
     ``branches`` copies as budget: two copies replace each, bounded by its
     value, b_j held at 0 (searched first) and a_j, for the first j with
     the largest min(a_j, b_j).
@@ -348,8 +348,8 @@ def kappa_star(psi, s, k, budget_cap=DEFAULT_BUDGET_CAP):
 
     The (support, sign) enumeration solves it exactly: each cone LP holds
     a_k at 1 and b_k at 0 (skipping the sign patterns that hold a_k at 0),
-    over unbounded a and b.  Past budget_cap LPs (C(p, s)*2^s planned) the
-    result is kappa_lower_bound(psi, s) relabelled to coordinate k, the
+    over unbounded a and b.  Where its plan of C(p, s)*2^s LPs exceeds
+    budget_cap, the result is kappa_lower_bound(psi, s) relabelled to k, the
     same for every k, so one call gives the bound of all p coordinates.
     It is min_j b_j over the relaxations of ``_anchor_bounds`` and a lower
     bound here as well: a delta in C_J with delta_k = 1 has
