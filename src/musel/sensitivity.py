@@ -14,8 +14,8 @@ pattern) pairs and solving a few small LPs per pair.  The delta -> -delta
 symmetry and the fact that a cone vector lies in the cone of its own s
 largest entries leave s*2^(s-1) anchor LPs per support for kappa_inf, and a
 relaxation LP per anchor bounds them all; kappa_one branches on the sign
-of an index its optimum pairs.  Both searches run on ``_search``; past its
-budget a result is a lower bound (kappa_lower_bound visits no anchor).
+of an index its optimum pairs.  Those searches and kappa_lower_bound's
+screened pass run on ``_search``; past its budget a result is a lower bound.
 """
 
 import math
@@ -30,6 +30,7 @@ from .core import check_gram
 from .lp import LinearProgram, LpStatus, solve_lp
 
 DEFAULT_BUDGET_CAP = 100_000
+_SCREEN = 12    # the coordinates whose epigraph rows an anchor's screen keeps
 
 KIND_EXACT = "exact"
 KIND_LOWER_BOUND = "lower_bound"
@@ -39,12 +40,11 @@ class SensitivityLpError(ValueError):
     """An enumerated LP ended other than OPTIMAL.
 
     Every such LP is feasible and bounded by construction (see
-    ``_enumerate_cones`` and ``_anchor_bounds``), so any other status is a
+    ``_enumerate_cones`` and ``_relaxations``), so any other status is a
     solver failure, and skipping the LP could leave a bound that is too
     high.  Carries the status, the support J and signs sigma (None for the
-    anchor relaxations of ``_anchor_bounds``, which kappa_inf_exact solves
-    first whatever its budget) and the anchor coordinate (None for the
-    unit-mass LPs of ``kappa_one``).
+    anchor relaxations and screens of ``_relaxations``) and the anchor
+    coordinate (None for the unit-mass LPs of ``kappa_one``).
     """
 
     def __init__(self, status, J, sigma, anchor):
@@ -104,9 +104,13 @@ def in_cone(delta, J, tol=1e-12):
     return bool(np.sum(np.abs(delta[~mask])) <= np.sum(np.abs(delta[mask])) + tol)
 
 
-def _check_s(p, s):
+def _checked(psi, s):
+    """(check_gram(psi), p), once s is found in [1, p]."""
+    psi = check_gram(psi)
+    p = psi.shape[0]
     if not 1 <= s <= p:
         raise ValueError(f"s must be in [1, {p}], got {s}")
+    return psi, p
 
 
 def _epigraph(psi):
@@ -262,9 +266,7 @@ def kappa_inf_exact(psi, s, budget_cap=DEFAULT_BUDGET_CAP):
     of the full enumeration, whatever order the anchors are visited in.
     Raises SensitivityLpError when an LP ends other than OPTIMAL.
     """
-    psi = check_gram(psi)
-    p = psi.shape[0]
-    _check_s(p, s)
+    psi, p = _checked(psi, s)
     t0 = time.perf_counter()
     bounds = _anchor_bounds(psi, s)
     visit = math.comb(p - 1, s - 1) * 2 ** (s - 1)
@@ -286,11 +288,6 @@ def kappa_inf_exact(psi, s, budget_cap=DEFAULT_BUDGET_CAP):
                              wall_time=time.perf_counter() - t0)
 
 
-# kappa_lower_bound calls the walk by this name, so that perfbench/probes.py,
-# which wraps both public names, does not record one call inside the other.
-_walk = kappa_inf_exact
-
-
 def kappa_one(psi, s, budget_cap=DEFAULT_BUDGET_CAP):
     """l1 sensitivity via the mass-split LP, one per (support, sign pattern).
 
@@ -303,9 +300,7 @@ def kappa_one(psi, s, budget_cap=DEFAULT_BUDGET_CAP):
     least pair-free optimum is exact, with delta as certificate; a search
     cut short is an uncertified lower bound, at least the least root value.
     """
-    psi = check_gram(psi)
-    p = psi.shape[0]
-    _check_s(p, s)
+    psi, p = _checked(psi, s)
     roots = math.comb(p, s) * 2 ** (s - 1)
     if roots > budget_cap:
         return _from_inf(kappa_inf_exact(psi, s, budget_cap), s, 1.0)
@@ -329,8 +324,6 @@ def kappa_q_from_inf(kappa_inf, s, q):
     """Lower bound kappa_q(s) >= (2s)^(-1/q) * kappa_inf(s); identity at q=inf."""
     if not (q >= 1):
         raise ValueError(f"q must lie in [1, inf], got {q}")
-    if math.isinf(q):
-        return float(kappa_inf)
     return float((2.0 * s) ** (-1.0 / q) * kappa_inf)
 
 
@@ -348,21 +341,20 @@ def kappa_star(psi, s, k, budget_cap=DEFAULT_BUDGET_CAP):
 
     The (support, sign) enumeration solves it exactly: each cone LP holds
     a_k at 1 and b_k at 0 (skipping the sign patterns that hold a_k at 0),
-    over unbounded a and b.  Where its plan of C(p, s)*2^s LPs exceeds
-    budget_cap, the result is kappa_lower_bound(psi, s) relabelled to k, the
-    same for every k, so one call gives the bound of all p coordinates.
-    It is min_j b_j over the relaxations of ``_anchor_bounds`` and a lower
-    bound here as well: a delta in C_J with delta_k = 1 has
-    M = |delta|_inf >= 1, and +-delta/M, the sign making its largest entry
-    j equal to +1, is feasible for the relaxation of j, so
-    |Psi delta|_inf >= M*b_j >= min_j b_j.
+    over unbounded a and b.  Where its plan of those LPs,
+    C(p, s)*2^s - C(p-1, s-1)*2^(s-1), exceeds budget_cap, the result is
+    kappa_lower_bound(psi, s) relabelled to k, the same for every k, so one
+    call gives the bound of all p coordinates.  It is min_j b_j over the
+    relaxations of ``_anchor_bounds`` and a lower bound here as well: a
+    delta in C_J with delta_k = 1 has M = |delta|_inf >= 1, and +-delta/M,
+    the sign making its largest entry j equal to +1, is feasible for the
+    relaxation of j, so |Psi delta|_inf >= M*b_j >= min_j b_j.
     """
-    psi = check_gram(psi)
-    p = psi.shape[0]
-    _check_s(p, s)
+    psi, p = _checked(psi, s)
     if not 0 <= k < p:
         raise ValueError(f"coordinate k must be in [0, {p}), got {k}")
-    if math.comb(p, s) * 2 ** s > budget_cap:
+    plan = math.comb(p, s) * 2 ** s - math.comb(p - 1, s - 1) * 2 ** (s - 1)
+    if plan > budget_cap:
         return replace(kappa_lower_bound(psi, s), q=None, coord=k)
     t0 = time.perf_counter()
     value, cert, cert_J, _, lp_count = _enumerate_cones(
@@ -373,8 +365,8 @@ def kappa_star(psi, s, k, budget_cap=DEFAULT_BUDGET_CAP):
                              wall_time=time.perf_counter() - t0)
 
 
-def _anchor_bounds(psi, s):
-    """Values b_k of the relaxation LPs of the p anchors k, in order.
+def _relaxations(psi, s):
+    """relax(k, m=None), the value of the relaxation LP of anchor k.
 
     The LP of anchor k minimizes the epigraph t of |Psi delta|_inf over
     {delta_k = 1, |delta|_inf <= 1, |delta|_1 <= 2s}: the l1 row
@@ -383,23 +375,46 @@ def _anchor_bounds(psi, s):
     bounded (t >= 0), so one that is not OPTIMAL raises
     SensitivityLpError(status, None, None, k).  The anchor delta_k = -1 is
     not needed: swapping a and b maps it onto delta_k = +1 and leaves the
-    relaxed set and |Psi delta|_inf unchanged.
+    relaxed set and |Psi delta|_inf unchanged.  With m it is the screen of
+    anchor k: the l1 row and, in index order, the epigraph rows of the m
+    largest |Psi_ik| (ties to the lowest i); with rows dropped, l_k <= b_k.
     """
     p = psi.shape[0]
     A = np.vstack([np.concatenate([np.ones(2 * p), [0.0]]), _epigraph(psi)])
     b = np.concatenate([[2.0 * s], np.zeros(2 * p)])
     box = np.concatenate([np.ones(2 * p), [np.inf]])
-    return np.array([_min_t(A, b, (None, None, k),
-                            **_anchored(k, box)).objective_value
-                     for k in range(p)])
+
+    def relax(k, m=None):
+        i = np.sort(np.argsort(-np.abs(psi[:, k]), kind="stable")[:m])
+        rows = np.concatenate([[0], 1 + i, 1 + p + i]) if m else slice(None)
+        return _min_t(A[rows], b[rows], (None, None, k),
+                      **_anchored(k, box)).objective_value
+    return relax
+
+
+def _anchor_bounds(psi, s):
+    """Values b_k of the relaxation LPs of the p anchors k, in order."""
+    return np.array(list(map(_relaxations(psi, s), range(psi.shape[0]))))
 
 
 def kappa_lower_bound(psi, s):
-    """LP lower bound on kappa_inf(s) for any p: min_k b_k over the p
-    anchor relaxations of ``_anchor_bounds``, which relax the union of cone
-    sections {|delta|_inf = 1} to {delta_k = 1, |delta|_inf <= 1,
-    |delta|_1 <= 2s}.  It is kappa_inf_exact's walk with no visits."""
-    return _walk(psi, s, budget_cap=0)
+    """LP lower bound on kappa_inf(s): min_k b_k over the p relaxations of
+    ``_relaxations``.  Past p = 2*_SCREEN, ``_search`` takes the anchors in
+    stable ascending order of their screens l_k, as bounds, and solves the
+    relaxation of each it keeps (one it drops has b_k >= l_k > min_j b_j)."""
+    psi, p = _checked(psi, s)
+    t0 = time.perf_counter()
+    if p <= 2 * _SCREEN:
+        value, spent = min(_anchor_bounds(psi, s)), 0
+    else:
+        relax = _relaxations(psi, s)
+        screens = [relax(k, _SCREEN) for k in range(p)]
+        order = np.argsort(screens, kind="stable").tolist()
+        value, _, spent = _search([(screens[k], 1, k) for k in order],
+                                  lambda k: ((relax(k),), None, []), np.inf)
+    return SensitivityResult(value=float(value), kind=KIND_LOWER_BOUND, s=s,
+                             q=np.inf, lp_count=p + spent,
+                             wall_time=time.perf_counter() - t0)
 
 
 def _ratio(num, kappa):

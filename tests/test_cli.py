@@ -645,11 +645,11 @@ class TestSensitivity:
         out = tmp_path / "s.json"
         lp_stops(1)
         r = runner.invoke(cli, ["sensitivity", "--gram", str(tmp_path / "g.csv"),
-                                "--s", "2", "--q", "star:3", "--budget", "83",
+                                "--s", "2", "--q", "star:3", "--budget", "71",
                                 "--out", str(out)])
         assert r.exit_code == 3, r.output
-        # below the plan of C(7, 2)*4 = 84 LPs the first LP is anchor 0's
-        # relaxation
+        # below the plan of C(7, 2)*4 - 6*2 = 72 LPs the first LP is anchor
+        # 0's relaxation
         assert "anchor=0) ended iteration_limit" in r.output
         assert not out.exists()
 

@@ -115,13 +115,18 @@ def kappa_lower_bound_two_signs(psi, s):
     return best
 
 
-def masked_gram(p, seed, pi=0.2):
-    """The plug-in Gram gram(rescale(Z~, pi), sigma_hat(Z~, pi)) of a 30 x p
+def masked_gram(p, seed, pi=0.2, n=30):
+    """The plug-in Gram gram(rescale(Z~, pi), sigma_hat(Z~, pi)) of an n x p
     Gaussian design masked with probability pi; it is indefinite in general,
     as under the missing-data model."""
-    Z = apply_mask(np.random.default_rng(seed).standard_normal((30, p)), pi,
+    Z = apply_mask(np.random.default_rng(seed).standard_normal((n, p)), pi,
                    seed)
     return gram(rescale(Z, pi), sigma_hat(Z, pi))
+
+
+def star_plan(p, s):
+    """The LPs of kappa_star's exact enumeration of one coordinate."""
+    return math.comb(p, s) * 2 ** s - math.comb(p - 1, s - 1) * 2 ** (s - 1)
 
 
 def kappa_one_orthants(psi, s):
@@ -487,7 +492,7 @@ class TestKappaStar:
     def test_relaxed_lower_bounds_exact(self, seed):
         psi = normalized_gram(5, 50, 300 + seed)
         exact = kappa_star(psi, 1, 2)
-        relaxed = kappa_star(psi, 1, 2, budget_cap=5 * 2 - 1)
+        relaxed = kappa_star(psi, 1, 2, budget_cap=8)
         assert exact.kind == "exact" and relaxed.kind == "lower_bound"
         assert relaxed.value <= exact.value + 1e-8
 
@@ -503,7 +508,7 @@ class TestKappaStar:
         delta[:2] = (1.0, 10.0)
         assert in_cone(delta, [1])
         attained = float(np.max(np.abs(psi @ delta)))
-        r = kappa_star(psi, 1, 0, budget_cap=8 * 2 - 1)
+        r = kappa_star(psi, 1, 0, budget_cap=14)
         assert r.value <= attained
         assert r.kind == "lower_bound" and r.lp_count == 8
 
@@ -514,7 +519,7 @@ class TestKappaStar:
         psi = normalized_gram(p, 30, 40 * p + s)
         lb = kappa_lower_bound(psi, s)
         for k in (0, 3, p - 1):
-            r = kappa_star(psi, s, k, budget_cap=math.comb(p, s) * 2 ** s - 1)
+            r = kappa_star(psi, s, k, budget_cap=star_plan(p, s) - 1)
             assert np.float64(r.value).tobytes() == np.float64(lb.value).tobytes()
             assert (r.kind, r.s, r.q, r.coord, r.lp_count) == (
                 "lower_bound", s, None, k, p)
@@ -559,10 +564,10 @@ class TestKappaStar:
 
     @pytest.mark.parametrize("p, s", [(4, 1), (5, 2), (6, 3)])
     def test_below_plan_is_lower_bound(self, p, s):
-        """Below its plan of C(p, s)*2^s LPs, kappa_star is
-        kappa_lower_bound relabelled, as past STAR_EXACT_P_MAX."""
+        """Below its plan of C(p, s)*2^s - C(p-1, s-1)*2^(s-1) LPs,
+        kappa_star is kappa_lower_bound relabelled."""
         psi = normalized_gram(p, 30, 20 * p + s)
-        plan = math.comb(p, s) * 2 ** s
+        plan = star_plan(p, s)
         lb = kappa_lower_bound(psi, s)
         for k in (0, p - 1):
             r = kappa_star(psi, s, k, budget_cap=plan - 1)
@@ -570,6 +575,18 @@ class TestKappaStar:
                 lb.to_dict() | {"q": f"star:{k}", "wall_time": 0})
             assert r.value <= kappa_star(psi, s, k).value + 1e-12
             assert kappa_star(psi, s, k, budget_cap=plan).kind == "exact"
+
+    def test_plan_is_the_lps_solved(self):
+        """The enumeration skips the sign patterns that hold a_k at 0, so
+        coordinate 3 at p = 7, s = 2 takes C(7, 2)*4 - 6*2 = 72 LPs: exact
+        at a budget of 72, the relabelled bound at 71."""
+        psi = normalized_gram(7, 30, 5)
+        below = kappa_star(psi, 2, 3, budget_cap=71)
+        exact = kappa_star(psi, 2, 3, budget_cap=72)
+        assert (below.kind, below.lp_count) == ("lower_bound", 7)
+        assert (exact.kind, exact.lp_count) == ("exact", 72)
+        assert exact.to_dict() | {"wall_time": 0} == \
+            kappa_star(psi, 2, 3).to_dict() | {"wall_time": 0}
 
 
 class TestAnchorPin:
@@ -607,11 +624,17 @@ class TestAnchorPin:
         assert r.kind == "exact"
         assert self.anchors(solved, p) == [k] * r.lp_count
 
-    @pytest.mark.parametrize("p", [5, 20])
+    @pytest.mark.parametrize("p", [5, 20, 40])
     def test_kappa_lower_bound(self, lp_stops, p):
+        """The first p LPs are the anchors' relaxations, or past p = 24
+        their screens of 25 rows; the relaxations of the search follow."""
         solved = lp_stops(0)
-        kappa_lower_bound(normalized_gram(p, 30, 80 + p), 2)
-        assert self.anchors(solved, p) == list(range(p))
+        r = kappa_lower_bound(normalized_gram(p, 30, 80 + p), 2)
+        ks = self.anchors(solved, p)
+        assert ks[:p] == list(range(p))
+        assert len(ks) == r.lp_count
+        rows = {lp.A_ub.shape[0] for lp in solved[:p]}
+        assert rows == ({25} if p > 24 else {2 * p + 1})
 
 
 class TestKappaLowerBound:
@@ -628,12 +651,13 @@ class TestKappaLowerBound:
         assert lb <= exact + 1e-8
 
     @pytest.mark.parametrize("p", [6, 60])
-    def test_matches_two_sign_relaxation(self, p):
+    def test_matches_two_sign_relaxation(self, lp_stops, p):
         psi = normalized_gram(p, 40, 500 + p)
+        solved = lp_stops(0)
         r = kappa_lower_bound(psi, 2)
         oracle = kappa_lower_bound_two_signs(psi, 2)
         assert abs(r.value - oracle) <= 1e-12 * abs(oracle)
-        assert r.lp_count == p
+        assert r.lp_count == len(solved)
 
     @pytest.mark.parametrize("p, n, seed", [(5, 40, 1), (8, 16, 2),
                                             (8, 4, 3), (12, 30, 4)])
@@ -648,15 +672,52 @@ class TestKappaLowerBound:
     def test_pivots_after_degenerate_steps(self, lp_solutions):
         """Only t has a cost in the anchor relaxations, so many dual steps
         have length zero; the most infeasible row leaves after them.  Dual
-        steepest edge alone took 3539 + 3531 + 3432 = 10502 pivots on these
-        Grams, the rule 1913 + 2027 + 2029 = 5969, with the same values."""
+        steepest edge alone took 1527 + 1507 + 1432 = 4466 pivots on these
+        Grams, the rule 1055 + 1090 + 1021 = 3166, with the same values
+        (10502 and 5969 when every anchor's full relaxation was solved)."""
         solved = lp_solutions(sensitivity)
-        values = [kappa_lower_bound(normalized_gram(60, 40, seed), 2).value
-                  for seed in (1, 2, 3)]
-        assert values == [0.06680500565738717, 0.050346751016892274,
-                          0.06040007351263967]
-        assert len(solved) == 180
-        assert sum(sol.iterations for sol in solved) <= 6500
+        results = [kappa_lower_bound(normalized_gram(60, 40, seed), 2)
+                   for seed in (1, 2, 3)]
+        assert [r.value for r in results] == [
+            0.06680500565738717, 0.050346751016892274, 0.06040007351263967]
+        assert len(solved) == sum(r.lp_count for r in results)
+        assert sum(sol.iterations for sol in solved) <= 4000
+
+    # 30 (Gram, s) past p = 24, normalized and masked plug-in, of n = p/2
+    # (rank-deficient) and 2p rows: every (s, kind, n) at p 25 and 40, and
+    # p = 100 at s = 1 and, with n = 2p, at s = 2
+    @pytest.mark.parametrize("kind, p, n, s", [
+        (kind, p, n, s) for p in (25, 40, 100) for s in (1, 2, 3)
+        for kind in ("normalized", "masked") for n in (p // 2, 2 * p)
+        if p < 100 or s == 1 or (s == 2 and n == 2 * p)])
+    def test_screened_search_is_min_of_relaxations(self, lp_stops, kind, p,
+                                                   n, s):
+        """The screens only skip relaxations: the value is the least of all
+        p, bit for bit, and lp_count counts the screens and the relaxations
+        solved."""
+        psi = (normalized_gram(p, n, 3 * p + s) if kind == "normalized"
+               else masked_gram(p, 3 * p + s, n=n))
+        solved = lp_stops(0)
+        r = kappa_lower_bound(psi, s)
+        assert r.lp_count == len(solved)
+        assert p < r.lp_count <= 2 * p
+        value = min(sensitivity._anchor_bounds(psi, s))
+        assert np.float64(r.value).tobytes() == np.float64(value).tobytes()
+        assert (r.kind, r.certificate, r.certificate_J) == (
+            "lower_bound", None, None)
+
+    @pytest.mark.parametrize("kind, p, n, s", [
+        ("normalized", 30, 15, 3), ("normalized", 50, 100, 2),
+        ("masked", 30, 15, 2), ("masked", 40, 80, 1)])
+    def test_screen_below_its_relaxation(self, kind, p, n, s):
+        """Anchor k's screen keeps some rows of its relaxation, so its value
+        l_k is at most b_k."""
+        psi = (normalized_gram(p, n, 7 * p + s) if kind == "normalized"
+               else masked_gram(p, 7 * p + s, n=n))
+        relax = sensitivity._relaxations(psi, s)
+        for k in range(p):
+            b = relax(k)
+            assert relax(k, sensitivity._SCREEN) <= b + 1e-12 * (1 + abs(b))
 
     def test_nonincreasing_in_s(self):
         psi = normalized_gram(6, 50, 5)
@@ -817,12 +878,13 @@ class TestFailedLp:
         assert len(solved) == 6
 
     def test_kappa_star_relaxation_raises(self, lp_stops):
-        # below the plan of C(7, 2)*4 = 84 LPs: the p anchor relaxations, of
-        # which the first, anchor 0's, stops whatever coordinate is asked for
+        # below the plan of C(7, 2)*4 - 6*2 = 72 LPs: the p anchor
+        # relaxations, of which the first, anchor 0's, stops whatever
+        # coordinate is asked for
         psi = normalized_gram(7, 30, 5)
         solved = lp_stops(1)
         with pytest.raises(sensitivity.SensitivityLpError) as e:
-            kappa_star(psi, 2, 3, budget_cap=83)
+            kappa_star(psi, 2, 3, budget_cap=71)
         err = e.value
         assert (err.status, err.J, err.sigma, err.anchor) == (
             LpStatus.ITERATION_LIMIT, None, None, 0)
@@ -840,3 +902,22 @@ class TestFailedLp:
             LpStatus.ITERATION_LIMIT, None, None, 2)
         assert "ended iteration_limit" in str(err)
         assert len(third_lp_stops) == 3
+
+    @pytest.mark.parametrize("n", [3, 31])
+    def test_kappa_lower_bound_screen_raises(self, lp_stops, n):
+        """Past p = 24 a screen that stops raises as a relaxation does: LP 3
+        is anchor 2's screen of 25 rows, LP p + 1 the full relaxation of
+        the anchor with the least screen."""
+        p = 30
+        psi = normalized_gram(p, 30, 3)
+        relax = sensitivity._relaxations(psi, 2)
+        first = int(np.argmin([relax(k, sensitivity._SCREEN)
+                               for k in range(p)]))
+        solved = lp_stops(n)
+        with pytest.raises(sensitivity.SensitivityLpError) as e:
+            kappa_lower_bound(psi, 2)
+        err = e.value
+        assert (err.status, err.J, err.sigma, err.anchor) == (
+            LpStatus.ITERATION_LIMIT, None, None, 2 if n == 3 else first)
+        assert len(solved) == n
+        assert solved[-1].A_ub.shape[0] == (25 if n == 3 else 2 * p + 1)

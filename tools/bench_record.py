@@ -24,9 +24,10 @@ seeded, normalized 100x500 Gram of tests/conftest.py's
 process's wall and CPU time, the result's own ``wall_time``, its
 ``lp_count``, the pivots summed over its LPs (``LpSolution.iterations``,
 counted through a wrapper on ``musel.sensitivity.solve_lp``), its value and
-its kind; likewise ``kappa_one(psi, 1)``, ``kappa_star(psi, 1, 0)`` (exact
-coordinate 0), and ``kappa_one`` at s = 1 on the plug-in Gram of the same
-design with 10% of its entries masked (``apply_mask`` seed 1).  Last it
+its kind; likewise ``kappa_lower_bound(psi, 1)``, ``kappa_one(psi, 1)``,
+``kappa_star(psi, 1, 0)`` (exact coordinate 0), and ``kappa_one`` at s = 1
+and ``kappa_lower_bound`` at s = 2 on the plug-in Gram of the same design
+with 10% of its entries masked (``apply_mask`` seed 1).  Last it
 runs the Tier-1 suite once (``python -m pytest -q
 --continue-on-collection-errors -p no:cacheprovider`` with this checkout's
 src first on PYTHONPATH) and takes its wall and CPU time and its passed,
@@ -58,7 +59,9 @@ SECONDS = 30.0
 COLD_STARTS = 15
 # (name, its arguments after psi, Gram)
 SENSITIVITIES = (("kappa_inf_exact", (1,), "normalized"),
+                 ("kappa_lower_bound", (1,), "normalized"),
                  ("kappa_lower_bound", (2,), "normalized"),
+                 ("kappa_lower_bound", (2,), "masked"),
                  ("kappa_one", (1,), "normalized"),
                  ("kappa_one", (1,), "masked"),
                  ("kappa_star", (1, 0), "normalized"))
