@@ -31,6 +31,9 @@ from .lp import LinearProgram, LpStatus, solve_lp
 
 DEFAULT_BUDGET_CAP = 100_000
 _SCREEN = 12    # the coordinates whose epigraph rows an anchor's screen keeps
+# kappa_lower_bound screens from this p on: in a scan of p = 13-80 (48 Grams
+# per p) the screens first took fewer pivots in sum at p = 54 (CHANGES.md)
+_SCREEN_FROM = 54
 
 KIND_EXACT = "exact"
 KIND_LOWER_BOUND = "lower_bound"
@@ -104,13 +107,9 @@ def in_cone(delta, J, tol=1e-12):
     return bool(np.sum(np.abs(delta[~mask])) <= np.sum(np.abs(delta[mask])) + tol)
 
 
-def _checked(psi, s):
-    """(check_gram(psi), p), once s is found in [1, p]."""
-    psi = check_gram(psi)
-    p = psi.shape[0]
+def _check_s(p, s):
     if not 1 <= s <= p:
         raise ValueError(f"s must be in [1, {p}], got {s}")
-    return psi, p
 
 
 def _epigraph(psi):
@@ -266,7 +265,9 @@ def kappa_inf_exact(psi, s, budget_cap=DEFAULT_BUDGET_CAP):
     of the full enumeration, whatever order the anchors are visited in.
     Raises SensitivityLpError when an LP ends other than OPTIMAL.
     """
-    psi, p = _checked(psi, s)
+    psi = check_gram(psi)
+    p = psi.shape[0]
+    _check_s(p, s)
     t0 = time.perf_counter()
     bounds = _anchor_bounds(psi, s)
     visit = math.comb(p - 1, s - 1) * 2 ** (s - 1)
@@ -300,7 +301,9 @@ def kappa_one(psi, s, budget_cap=DEFAULT_BUDGET_CAP):
     least pair-free optimum is exact, with delta as certificate; a search
     cut short is an uncertified lower bound, at least the least root value.
     """
-    psi, p = _checked(psi, s)
+    psi = check_gram(psi)
+    p = psi.shape[0]
+    _check_s(p, s)
     roots = math.comb(p, s) * 2 ** (s - 1)
     if roots > budget_cap:
         return _from_inf(kappa_inf_exact(psi, s, budget_cap), s, 1.0)
@@ -324,6 +327,8 @@ def kappa_q_from_inf(kappa_inf, s, q):
     """Lower bound kappa_q(s) >= (2s)^(-1/q) * kappa_inf(s); identity at q=inf."""
     if not (q >= 1):
         raise ValueError(f"q must lie in [1, inf], got {q}")
+    if math.isinf(q):
+        return float(kappa_inf)
     return float((2.0 * s) ** (-1.0 / q) * kappa_inf)
 
 
@@ -350,7 +355,9 @@ def kappa_star(psi, s, k, budget_cap=DEFAULT_BUDGET_CAP):
     the sign making its largest entry j equal to +1, is feasible for the
     relaxation of j, so |Psi delta|_inf >= M*b_j >= min_j b_j.
     """
-    psi, p = _checked(psi, s)
+    psi = check_gram(psi)
+    p = psi.shape[0]
+    _check_s(p, s)
     if not 0 <= k < p:
         raise ValueError(f"coordinate k must be in [0, {p}), got {k}")
     plan = math.comb(p, s) * 2 ** s - math.comb(p - 1, s - 1) * 2 ** (s - 1)
@@ -385,8 +392,10 @@ def _relaxations(psi, s):
     box = np.concatenate([np.ones(2 * p), [np.inf]])
 
     def relax(k, m=None):
-        i = np.sort(np.argsort(-np.abs(psi[:, k]), kind="stable")[:m])
-        rows = np.concatenate([[0], 1 + i, 1 + p + i]) if m else slice(None)
+        rows = slice(None)
+        if m:
+            i = np.sort(np.argsort(-np.abs(psi[:, k]), kind="stable")[:m])
+            rows = np.concatenate([[0], 1 + i, 1 + p + i])
         return _min_t(A[rows], b[rows], (None, None, k),
                       **_anchored(k, box)).objective_value
     return relax
@@ -399,12 +408,14 @@ def _anchor_bounds(psi, s):
 
 def kappa_lower_bound(psi, s):
     """LP lower bound on kappa_inf(s): min_k b_k over the p relaxations of
-    ``_relaxations``.  Past p = 2*_SCREEN, ``_search`` takes the anchors in
+    ``_relaxations``.  From p = _SCREEN_FROM, ``_search`` takes the anchors in
     stable ascending order of their screens l_k, as bounds, and solves the
     relaxation of each it keeps (one it drops has b_k >= l_k > min_j b_j)."""
-    psi, p = _checked(psi, s)
+    psi = check_gram(psi)
+    p = psi.shape[0]
+    _check_s(p, s)
     t0 = time.perf_counter()
-    if p <= 2 * _SCREEN:
+    if p < _SCREEN_FROM:
         value, spent = min(_anchor_bounds(psi, s)), 0
     else:
         relax = _relaxations(psi, s)

@@ -624,9 +624,9 @@ class TestAnchorPin:
         assert r.kind == "exact"
         assert self.anchors(solved, p) == [k] * r.lp_count
 
-    @pytest.mark.parametrize("p", [5, 20, 40])
+    @pytest.mark.parametrize("p", [5, 20, 40, 60])
     def test_kappa_lower_bound(self, lp_stops, p):
-        """The first p LPs are the anchors' relaxations, or past p = 24
+        """The first p LPs are the anchors' relaxations, or from p = 54
         their screens of 25 rows; the relaxations of the search follow."""
         solved = lp_stops(0)
         r = kappa_lower_bound(normalized_gram(p, 30, 80 + p), 2)
@@ -634,7 +634,8 @@ class TestAnchorPin:
         assert ks[:p] == list(range(p))
         assert len(ks) == r.lp_count
         rows = {lp.A_ub.shape[0] for lp in solved[:p]}
-        assert rows == ({25} if p > 24 else {2 * p + 1})
+        assert rows == ({25} if p >= sensitivity._SCREEN_FROM
+                        else {2 * p + 1})
 
 
 class TestKappaLowerBound:
@@ -683,13 +684,13 @@ class TestKappaLowerBound:
         assert len(solved) == sum(r.lp_count for r in results)
         assert sum(sol.iterations for sol in solved) <= 4000
 
-    # 30 (Gram, s) past p = 24, normalized and masked plug-in, of n = p/2
-    # (rank-deficient) and 2p rows: every (s, kind, n) at p 25 and 40, and
-    # p = 100 at s = 1 and, with n = 2p, at s = 2
+    # 30 (Gram, s) from p = 54, normalized and masked plug-in, of n = p/2
+    # (rank-deficient) and 2p rows: every (s, kind, n) at p = 54, s = 1 at
+    # p = 60, 70, 80 and 100, and p = 100 with n = 2p at s = 2
     @pytest.mark.parametrize("kind, p, n, s", [
-        (kind, p, n, s) for p in (25, 40, 100) for s in (1, 2, 3)
+        (kind, p, n, s) for p in (54, 60, 70, 80, 100) for s in (1, 2, 3)
         for kind in ("normalized", "masked") for n in (p // 2, 2 * p)
-        if p < 100 or s == 1 or (s == 2 and n == 2 * p)])
+        if p == 54 or s == 1 or (p == 100 and s == 2 and n == 2 * p)])
     def test_screened_search_is_min_of_relaxations(self, lp_stops, kind, p,
                                                    n, s):
         """The screens only skip relaxations: the value is the least of all
@@ -903,12 +904,12 @@ class TestFailedLp:
         assert "ended iteration_limit" in str(err)
         assert len(third_lp_stops) == 3
 
-    @pytest.mark.parametrize("n", [3, 31])
+    @pytest.mark.parametrize("n", [3, 61])
     def test_kappa_lower_bound_screen_raises(self, lp_stops, n):
-        """Past p = 24 a screen that stops raises as a relaxation does: LP 3
+        """From p = 54 a screen that stops raises as a relaxation does: LP 3
         is anchor 2's screen of 25 rows, LP p + 1 the full relaxation of
         the anchor with the least screen."""
-        p = 30
+        p = 60
         psi = normalized_gram(p, 30, 3)
         relax = sensitivity._relaxations(psi, 2)
         first = int(np.argmin([relax(k, sensitivity._SCREEN)
